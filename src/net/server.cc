@@ -2,9 +2,9 @@
 
 #include <sys/epoll.h>
 
-#include <chrono>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "net/json.h"
@@ -38,8 +38,7 @@ HttpFrontDoor::HttpFrontDoor(serve::BatchingServer* server,
                           ? std::make_unique<obs::MetricsRegistry>()
                           : nullptr),
       registry_(ctx.metrics == nullptr ? owned_registry_.get() : ctx.metrics),
-      admission_(config_.admission),
-      completions_(config_.admission.per_tenant_capacity * 8 + 256) {
+      admission_(config_.admission) {
   SGNN_CHECK(server_ != nullptr);
   obs::MetricsRegistry& r = *registry_;
   accepted_total_ =
@@ -110,25 +109,22 @@ common::Status HttpFrontDoor::Start() {
   started_.store(true);
   event_thread_ = std::thread([this] { EventLoop(); });
   dispatch_thread_ = std::thread([this] { DispatchLoop(); });
-  waiter_threads_.reserve(static_cast<size_t>(config_.num_waiters));
-  for (int i = 0; i < config_.num_waiters; ++i) {
-    waiter_threads_.emplace_back([this] { WaiterLoop(); });
-  }
   return common::Status::OK();
 }
 
 void HttpFrontDoor::Shutdown() {
   if (!started_.load() || stop_.exchange(true)) return;
   // Order matters: quiesce the only Offer-ing thread first, then drain
-  // admission through the dispatcher, then drain the completion queue
-  // through the waiters — every admitted request is answered before any
-  // connection closes.
+  // admission through the dispatcher, then wait out the completion
+  // callbacks — every admitted request is answered before any connection
+  // closes.
   event_thread_.join();
   admission_.Close();
   dispatch_thread_.join();
-  completions_.Close();
-  for (std::thread& t : waiter_threads_) t.join();
-  waiter_threads_.clear();
+  {
+    common::MutexLock lock(in_flight_.mu);
+    while (in_flight_.count > 0) in_flight_.cv.wait(in_flight_.mu);
+  }
   {
     common::MutexLock lock(conns_.mu);
     for (auto& [id, conn] : conns_.map) {
@@ -234,11 +230,7 @@ void HttpFrontDoor::HandleReadable(const std::shared_ptr<Conn>& conn) {
     if (!fed.ok()) {
       const int code =
           fed.code() == common::StatusCode::kResourceExhausted ? 431 : 400;
-      const std::string body = RenderError(fed);
-      http_errors_total_->Increment();
-      FillSlot(ReserveSlot(conn),
-               SerializeResponse(code, ReasonPhrase(code), body,
-                                 "application/json"));
+      Respond(ReserveSlot(conn), code, RenderError(fed));
       CloseConn(conn, false);  // Framing is gone; nothing to salvage.
       return;
     }
@@ -259,60 +251,35 @@ void HttpFrontDoor::HandleRequest(const std::shared_ptr<Conn>& conn,
   // health probes themselves stay observers so a 503 remains visible.
   if (request.target != "/healthz") torn_streak_.store(0);
 
-  auto respond = [&](int code, const std::string& body,
-                     std::string_view content_type) {
-    if (code >= 400) http_errors_total_->Increment();
-    const uint64_t cookie = ReserveSlot(conn);
-    FillSlot(cookie,
-             SerializeResponse(code, ReasonPhrase(code), body, content_type));
-  };
-
-  if (request.target == "/healthz") {
-    if (request.method != "GET") {
-      respond(405, RenderError(common::Status::InvalidArgument(
-                       "/healthz accepts GET only")),
-              "application/json");
-      return;
-    }
-    int code = 200;
-    const std::string body = HealthzBody(&code);
-    respond(code, body, "text/plain; version=0.0.4");
+  const bool infer = request.target == "/v1/infer";
+  const bool metrics = request.target == "/metrics";
+  if (!infer && !metrics && request.target != "/healthz") {
+    Respond(ReserveSlot(conn), 404,
+            RenderError(common::Status::NotFound(
+                "no route for '" + request.target + "'")));
     return;
   }
-  if (request.target == "/metrics") {
-    if (request.method != "GET") {
-      respond(405, RenderError(common::Status::InvalidArgument(
-                       "/metrics accepts GET only")),
-              "application/json");
-      return;
-    }
-    respond(200, MetricsBody(), "text/plain; version=0.0.4");
+  const char* const method = infer ? "POST" : "GET";
+  if (request.method != method) {
+    Respond(ReserveSlot(conn), 405,
+            RenderError(common::Status::InvalidArgument(
+                request.target + " accepts " + method + " only")));
     return;
   }
-  if (request.target == "/v1/infer") {
-    if (request.method != "POST") {
-      respond(405, RenderError(common::Status::InvalidArgument(
-                       "/v1/infer accepts POST only")),
-              "application/json");
-      return;
-    }
+  if (infer) {
     HandleInfer(conn, request);
     return;
   }
-  respond(404, RenderError(common::Status::NotFound("no route for '" +
-                                                    request.target + "'")),
-          "application/json");
+  int code = 200;
+  const std::string body = metrics ? MetricsBody() : HealthzBody(&code);
+  Respond(ReserveSlot(conn), code, body, "text/plain; version=0.0.4");
 }
 
 void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
                                 const HttpRequest& request) {
   auto fail = [&](const common::Status& status) {
-    const int code = HttpStatusForCode(status.code());
-    http_errors_total_->Increment();
-    const uint64_t cookie = ReserveSlot(conn);
-    FillSlot(cookie, SerializeResponse(code, ReasonPhrase(code),
-                                       RenderError(status),
-                                       "application/json"));
+    Respond(ReserveSlot(conn), HttpStatusForCode(status.code()),
+            RenderError(status));
   };
 
   auto parsed = ParseInferRequest(request.body);
@@ -342,11 +309,8 @@ void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
     } else {
       shed_rejected_total_->Increment();
     }
-    const int code = HttpStatusForCode(admitted.status().code());
-    http_errors_total_->Increment();
-    FillSlot(cookie, SerializeResponse(code, ReasonPhrase(code),
-                                       RenderError(admitted.status()),
-                                       "application/json"));
+    Respond(cookie, HttpStatusForCode(admitted.status().code()),
+            RenderError(admitted.status()));
     return;
   }
   shed_tier_->Set(static_cast<double>(admitted.value()));
@@ -412,16 +376,24 @@ void HttpFrontDoor::FillSlot(uint64_t cookie, std::string bytes) {
   FlushConn(conn);
 }
 
+void HttpFrontDoor::Respond(uint64_t cookie, int code, const std::string& body,
+                            std::string_view content_type) {
+  if (code >= 400) http_errors_total_->Increment();
+  FillSlot(cookie,
+           SerializeResponse(code, ReasonPhrase(code), body, content_type));
+}
+
 void HttpFrontDoor::FlushConn(const std::shared_ptr<Conn>& conn) {
   common::MutexLock lock(conn->mu);
   while (!conn->slots.empty() && conn->slots.front().ready) {
     if (!conn->dead) {
       const std::string& bytes = conn->slots.front().bytes;
-      common::Status sent = SendAll(conn->fd.fd(), bytes.data(), bytes.size());
-      if (!sent.ok()) {
-        // The peer is gone; the epoll thread owns closing the fd (it will
-        // see the EOF/error), we just stop writing.
+      if (!SendAll(conn->fd.fd(), bytes.data(), bytes.size()).ok()) {
+        // A full socket buffer (the peer stopped reading) or a dead peer:
+        // hang up rather than wait. The peer sees the close, and the epoll
+        // thread reaps the fd on the EOF that follows.
         conn->dead = true;
+        Hangup(conn->fd.fd());
       }
     }
     conn->slots.pop_front();
@@ -464,46 +436,33 @@ void HttpFrontDoor::DispatchLoop() {
     }
     obs::TraceSpan span = obs::StartSpan(tracer_, "net:dispatch", "net");
     dispatches_total_->Increment();
-    auto submitted = server_->Submit(request);
+    {
+      common::MutexLock lock(in_flight_.mu);
+      ++in_flight_.count;
+    }
+    // The callback runs on the batch worker that answers the request;
+    // FillSlot is safe from any thread and never blocks.
+    common::Status submitted = server_->Submit(
+        request, [this, cookie](serve::InferenceResponse response) {
+          const int code = response.status.ok()
+                               ? 200
+                               : HttpStatusForCode(response.status.code());
+          Respond(cookie, code, RenderInferResponse(response));
+          FinishInFlight();
+        });
     if (!submitted.ok()) {
-      const int code = HttpStatusForCode(submitted.status().code());
-      http_errors_total_->Increment();
-      FillSlot(cookie, SerializeResponse(code, ReasonPhrase(code),
-                                         RenderError(submitted.status()),
-                                         "application/json"));
-      continue;
+      Respond(cookie, HttpStatusForCode(submitted.code()),
+              RenderError(submitted));
+      FinishInFlight();
     }
-    // Single-producer backpressure: this thread is the only pusher, so a
-    // size check below capacity guarantees the TryPush lands (pops only
-    // shrink the queue). A failed TryPush would destroy the future and
-    // lose the response, so never race it against a full queue.
-    while (completions_.size() >= completions_.capacity()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    common::Status pushed =
-        completions_.TryPush(Completion{cookie, std::move(submitted).value()});
-    // Close() happens only after this thread joins (see Shutdown), so the
-    // push cannot be rejected.
-    SGNN_CHECK(pushed.ok());
   }
 }
 
-void HttpFrontDoor::WaiterLoop() {
-  for (;;) {
-    Completion completion;
-    if (!completions_.WaitPop(&completion, std::chrono::milliseconds(20))) {
-      if (completions_.closed()) return;
-      continue;
-    }
-    serve::InferenceResponse response = completion.future.get();
-    const int code =
-        response.status.ok() ? 200 : HttpStatusForCode(response.status.code());
-    if (code >= 400) http_errors_total_->Increment();
-    const std::string body = RenderInferResponse(response);
-    FillSlot(completion.cookie,
-             SerializeResponse(code, ReasonPhrase(code), body,
-                               "application/json"));
-  }
+void HttpFrontDoor::FinishInFlight() {
+  // Notify while holding the lock: once Shutdown sees zero it may destroy
+  // the door, so nothing of it is touched after this unlock.
+  common::MutexLock lock(in_flight_.mu);
+  if (--in_flight_.count == 0) in_flight_.cv.notify_all();
 }
 
 }  // namespace sgnn::net

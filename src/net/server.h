@@ -2,17 +2,16 @@
 #define SGNN_NET_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <vector>
 
 #include "common/fault.h"
-#include "common/mpmc_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/run_context.h"
@@ -48,8 +47,6 @@ struct HttpFrontDoorConfig {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; `Start` writes the chosen port into `port()`.
   uint16_t port = 0;
-  /// Threads blocking on `BatchingServer` futures and writing responses.
-  int num_waiters = 2;
   /// Multi-tenant admission: quotas, DWRR weights, shed policy.
   serve::AdmissionConfig admission;
   HttpLimits http_limits;
@@ -67,18 +64,23 @@ struct HttpFrontDoorConfig {
 ///   GET  /metrics    Prometheus text exposition of the shared registry
 ///   GET  /healthz    "ok" (200) or the reason it is not (503)
 ///
-/// An infer request flows: epoll thread parses it and `Offer`s it to the
-/// `serve::AdmissionQueue` (token-bucket quota, shed tier); a dispatcher
-/// thread pops deficit-weighted-fair and `Submit`s to the
-/// `BatchingServer`; waiter threads block on the response futures, render
-/// JSON, and write responses back *in request order per connection*
-/// (HTTP/1.1 pipelining). Load shedding degrades exact → stale → reject
-/// as the serving breaker opens and the admission queues fill.
+/// The door runs two threads. An infer request flows: the epoll thread
+/// parses it and `Offer`s it to the `serve::AdmissionQueue` (token-bucket
+/// quota, shed tier); the dispatcher thread pops deficit-weighted-fair and
+/// `Submit`s it to the `BatchingServer` with a completion callback; the
+/// batch worker that answers it runs the callback, which renders the JSON
+/// and writes the response *in request order per connection* (HTTP/1.1
+/// pipelining). Load shedding degrades exact → stale → reject as the
+/// serving breaker opens and the admission queues fill.
+///
+/// Writes never block: a connection whose peer stops reading is hung up
+/// the moment its socket buffer fills, so neither the epoll thread nor a
+/// batch worker waits on one slow client.
 ///
 /// The front door owns only the sockets; the model, cache, and breaker
 /// stay in the `BatchingServer` it fronts. Shut down the front door
-/// before the server: `Shutdown` drains admission and resolves every
-/// accepted request.
+/// before the server: `Shutdown` drains admission and waits until every
+/// accepted request has been answered.
 class HttpFrontDoor {
  public:
   /// `server` must outlive the front door. `ctx.metrics` is where the
@@ -92,13 +94,13 @@ class HttpFrontDoor {
   HttpFrontDoor(const HttpFrontDoor&) = delete;
   HttpFrontDoor& operator=(const HttpFrontDoor&) = delete;
 
-  /// Binds, listens, and starts the event loop, dispatcher, and waiter
-  /// threads. Errors (port in use, fd exhaustion) surface here.
+  /// Binds, listens, and starts the event-loop and dispatcher threads.
+  /// Errors (port in use, fd exhaustion) surface here.
   SGNN_NODISCARD common::Status Start();
 
   /// Stops accepting, drains every admitted request to a response, joins
-  /// all threads, closes all connections. Idempotent; the destructor
-  /// calls it.
+  /// both threads, waits for the last completion callback to leave the
+  /// door, closes all connections. Idempotent; the destructor calls it.
   void Shutdown();
 
   /// The bound port (valid after `Start`).
@@ -127,9 +129,9 @@ class HttpFrontDoor {
         : id(id_in), parser(limits) {}
     const uint64_t id;
     /// The socket. Reads and the final close happen only on the
-    /// event-loop thread (or in Shutdown after it joins); waiters write
-    /// responses through it under `mu`, and `dead` is checked first, so a
-    /// closed fd is never written.
+    /// event-loop thread (or in Shutdown after it joins); any thread that
+    /// fills a slot writes responses through it under `mu`, and `dead` is
+    /// checked first, so a closed fd is never written.
     // sgnn-lint: allow(lock/unannotated-field): closed only by the
     // event-loop thread / post-join Shutdown; writers take mu and check
     // `dead` before touching the fd.
@@ -146,22 +148,17 @@ class HttpFrontDoor {
     bool dead SGNN_GUARDED_BY(mu) = false;
   };
 
-  /// The connection registry; its own lock scope so lookups from waiter
-  /// threads never contend with anything but accept/close.
+  /// The connection registry; its own lock scope so lookups from batch
+  /// workers never contend with anything but accept/close.
   struct ConnTable {
     mutable common::Mutex mu;
     std::map<uint64_t, std::shared_ptr<Conn>> map SGNN_GUARDED_BY(mu);
   };
 
-  /// A dispatched request waiting on its `BatchingServer` future.
-  struct Completion {
-    uint64_t cookie = 0;
-    std::future<serve::InferenceResponse> future;
-  };
-
   void EventLoop();
   void DispatchLoop();
-  void WaiterLoop();
+  /// Counts one submitted request answered; wakes `Shutdown` at zero.
+  void FinishInFlight();
 
   void HandleAcceptable();
   void HandleReadable(const std::shared_ptr<Conn>& conn);
@@ -178,7 +175,12 @@ class HttpFrontDoor {
   /// in-order prefix. Safe from any thread; a vanished connection drops
   /// the bytes.
   void FillSlot(uint64_t cookie, std::string bytes);
-  /// Writes the ready prefix of `conn->slots`.
+  /// Serializes a `code` response into slot `cookie`, counting 4xx/5xx as
+  /// HTTP errors.
+  void Respond(uint64_t cookie, int code, const std::string& body,
+               std::string_view content_type = "application/json");
+  /// Writes the ready prefix of `conn->slots` without blocking; hangs the
+  /// connection up when its socket buffer is full or the peer is gone.
   void FlushConn(const std::shared_ptr<Conn>& conn);
   /// Closes and forgets a connection; `torn` feeds the healthz streak.
   void CloseConn(const std::shared_ptr<Conn>& conn, bool torn);
@@ -191,7 +193,14 @@ class HttpFrontDoor {
   obs::MetricsRegistry* const registry_;
 
   serve::AdmissionQueue admission_;
-  common::BoundedMpmcQueue<Completion> completions_;
+
+  /// Requests submitted to the server whose callback has not finished.
+  struct InFlight {
+    common::Mutex mu;
+    std::condition_variable_any cv;
+    int64_t count SGNN_GUARDED_BY(mu) = 0;
+  };
+  InFlight in_flight_;
 
   OwnedFd listen_fd_;
   OwnedFd epoll_fd_;
@@ -224,8 +233,6 @@ class HttpFrontDoor {
   std::thread event_thread_;
   // sgnn-lint: allow(lock/unannotated-field): same start/join discipline.
   std::thread dispatch_thread_;
-  // sgnn-lint: allow(lock/unannotated-field): same start/join discipline.
-  std::vector<std::thread> waiter_threads_;
 };
 
 }  // namespace sgnn::net

@@ -127,7 +127,7 @@ common::StatusOr<OwnedFd> ConnectTcp(const std::string& host, uint16_t port) {
 common::StatusOr<OwnedFd> AcceptConn(int listen_fd) {
   int rc;
   do {
-    rc = ::accept(listen_fd, nullptr, nullptr);
+    rc = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -162,12 +162,17 @@ common::Status SendAll(int fd, const void* buf, size_t n) {
     const ssize_t rc = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
     if (rc < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        return common::Status::Unavailable("socket send buffer full");
+      }
       return common::StatusFromErrno("send");
     }
     sent += static_cast<size_t>(rc);
   }
   return common::Status::OK();
 }
+
+void Hangup(int fd) { ::shutdown(fd, SHUT_RDWR); }
 
 common::StatusOr<OwnedFd> EpollCreate() {
   OwnedFd fd(::epoll_create1(0));

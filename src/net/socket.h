@@ -65,8 +65,10 @@ SGNN_NODISCARD common::StatusOr<OwnedFd> ConnectTcp(const std::string& host,
                                                     uint16_t port);
 
 /// Accepts one pending connection from a non-blocking listener. The
-/// accepted socket is left blocking. `kUnavailable` when no connection is
-/// pending (`EAGAIN`) — the accept loop's "drained" signal.
+/// accepted socket is non-blocking too (Linux `accept` does not inherit
+/// `O_NONBLOCK`), so no read or write on it can stall the server thread
+/// serving it. `kUnavailable` when no connection is pending (`EAGAIN`) —
+/// the accept loop's "drained" signal.
 SGNN_NODISCARD common::StatusOr<OwnedFd> AcceptConn(int listen_fd);
 
 /// Reads whatever is available on `fd` (up to `capacity`) without
@@ -78,8 +80,14 @@ SGNN_NODISCARD common::StatusOr<size_t> RecvSome(int fd, void* buf,
 
 /// Writes all `n` bytes to a socket, retrying on `EINTR` and short sends.
 /// Uses `MSG_NOSIGNAL`, so a dead peer is `kUnavailable` via `EPIPE`
-/// rather than a process-wide `SIGPIPE`.
+/// rather than a process-wide `SIGPIPE`. On a non-blocking socket a full
+/// send buffer is `kUnavailable` too: the peer stopped reading.
 SGNN_NODISCARD common::Status SendAll(int fd, const void* buf, size_t n);
+
+/// Shuts down both directions of a connected socket, leaving the fd open:
+/// the peer sees the close, and the fd polls readable (EOF) so its owner
+/// can reap it. Best effort.
+void Hangup(int fd);
 
 /// Thin epoll wrappers; `data` round-trips through
 /// `epoll_event.data.u64` (the front door stores connection cookies

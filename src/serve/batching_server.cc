@@ -39,8 +39,9 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
 
 BatchingServer::~BatchingServer() { Shutdown(); }
 
-common::StatusOr<std::future<InferenceResponse>> BatchingServer::Submit(
-    const InferenceRequest& inference_request) {
+common::Status BatchingServer::Submit(
+    const InferenceRequest& inference_request,
+    std::function<void(InferenceResponse)> done) {
   const graph::NodeId node = inference_request.node;
   if (node >= num_nodes_) {
     return common::Status::InvalidArgument("node id out of range");
@@ -64,14 +65,22 @@ common::StatusOr<std::future<InferenceResponse>> BatchingServer::Submit(
   request.deadline = deadline_micros > 0
                          ? common::Deadline::After(deadline_micros)
                          : common::Deadline::Infinite();
-  std::future<InferenceResponse> future = request.promise.get_future();
+  request.done = std::move(done);
   common::Status status = queue_.TryPush(std::move(request));
-  if (!status.ok()) {
-    if (status.code() == common::StatusCode::kUnavailable) {
-      metrics_.RecordRejected();
-    }
-    return status;
+  if (status.code() == common::StatusCode::kUnavailable) {
+    metrics_.RecordRejected();
   }
+  return status;
+}
+
+common::StatusOr<std::future<InferenceResponse>> BatchingServer::Submit(
+    const InferenceRequest& request) {
+  auto promise = std::make_shared<std::promise<InferenceResponse>>();
+  std::future<InferenceResponse> future = promise->get_future();
+  SGNN_RETURN_IF_ERROR(
+      Submit(request, [promise](InferenceResponse response) {
+        promise->set_value(std::move(response));
+      }));
   return future;
 }
 
@@ -326,7 +335,7 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
       metrics_.RecordRequest(response.latency_ticks, response.cache_hit,
                              response.degraded);
     }
-    request.promise.set_value(std::move(response));
+    request.done(std::move(response));
   }
 }
 

@@ -132,8 +132,8 @@ using EmbeddingFn =
 /// thread-local (work counters).
 ///
 /// Failure handling: every admitted request resolves to a terminal
-/// `InferenceResponse.status` — never a hung future. Embedder errors are
-/// retried under `ServeConfig::embed_retry`; persistent failures degrade
+/// `InferenceResponse.status` — its callback always runs. Embedder errors
+/// are retried under `ServeConfig::embed_retry`; persistent failures degrade
 /// to a stale cache row (`degraded=true`) when one exists; consecutive
 /// failures trip a `CircuitBreaker` so a dead embedder fast-fails; and
 /// per-request deadlines resolve to `kDeadlineExceeded`. The
@@ -161,19 +161,21 @@ class BatchingServer {
   BatchingServer(const BatchingServer&) = delete;
   BatchingServer& operator=(const BatchingServer&) = delete;
 
-  /// Enqueues a classification request. Returns the future carrying the
-  /// response, or `kInvalidArgument` (node out of range), `kUnavailable`
-  /// when the server is saturated (backpressure; the caller may retry), or
-  /// `kFailedPrecondition` after shutdown. Thread-safe.
+  /// Enqueues a classification request; `done` receives its response
+  /// exactly once, on a batch worker thread with no server lock held.
+  /// Returns OK once admitted, else `kInvalidArgument` (node out of
+  /// range), `kUnavailable` when the server is saturated (backpressure;
+  /// the caller may retry), or `kFailedPrecondition` after shutdown — and
+  /// then `done` is never called. `done` runs on the serving path, so it
+  /// should hand off or finish quickly. Thread-safe.
+  SGNN_NODISCARD common::Status Submit(
+      const InferenceRequest& request,
+      std::function<void(InferenceResponse)> done);
+
+  /// Future-returning adapter over the callback `Submit`: same admission
+  /// errors, and the future carries the response.
   common::StatusOr<std::future<InferenceResponse>> Submit(
       const InferenceRequest& request);
-
-  /// DEPRECATED single-node overload; use `Submit(const InferenceRequest&)`.
-  [[deprecated("use Submit(const InferenceRequest&)")]]
-  common::StatusOr<std::future<InferenceResponse>> Submit(
-      graph::NodeId node) {
-    return Submit(InferenceRequest(node));
-  }
 
   /// Pre-populates the embedding cache with row `u` of `embeddings` for
   /// every node (e.g. the training-time S^K X), so serving starts warm.
@@ -203,7 +205,7 @@ class BatchingServer {
     graph::NodeId node = 0;
     std::string tenant_id;
     bool stale_only = false;
-    std::promise<InferenceResponse> promise;
+    std::function<void(InferenceResponse)> done;
     uint64_t enqueue_tick = 0;  ///< `latency_clock_` tick at admission.
     common::Deadline deadline;  ///< Infinite when no deadline applies.
   };

@@ -85,7 +85,7 @@ class ServeMetrics {
   ServeMetrics& operator=(const ServeMetrics&) = delete;
 
   /// Records one successfully served request with its end-to-end latency
-  /// in logical ticks (enqueue to promise fulfilment, measured by the
+  /// in logical ticks (enqueue to response delivery, measured by the
   /// server's `common::TickClock` — no wall time, so the series carries
   /// the volatility tag only for thread-interleaving reasons), whether the
   /// embedding came from the cache fresh, and whether it was a degraded

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -423,6 +425,16 @@ bool WaitFor(const std::function<bool()>& predicate) {
   return predicate();
 }
 
+/// Threads in this process, as the kernel lists them.
+int CountThreads() {
+  int threads = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
 // --------------------------------------------------------- front door e2e
 
 TEST(HttpFrontDoorTest, ServesInferMetricsHealthzAndErrors) {
@@ -829,6 +841,139 @@ TEST(HttpFrontDoorTest, SharedRegistryExposesNetAndServeSeries) {
   EXPECT_NE(body.find("sgnn_serve_requests_served_total"),
             std::string::npos);
   EXPECT_NE(body.find("sgnn_serve_latency_ticks"), std::string::npos);
+}
+
+TEST(HttpFrontDoorTest, StartAddsExactlyTheEventLoopAndDispatcherThreads) {
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  const int before = CountThreads();
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+  // Completions run on the server's batch workers, so the door itself
+  // owns only the epoll thread and the dispatcher.
+  EXPECT_EQ(CountThreads() - before, 2);
+  HttpClient client = Dial(door.port());
+  auto infer = client.Post("/v1/infer", InferBody(3));
+  ASSERT_TRUE(infer.ok()) << infer.status().ToString();
+  EXPECT_EQ(infer.value().status_code, 200);
+  door.Shutdown();
+  EXPECT_EQ(CountThreads(), before);
+}
+
+TEST(HttpFrontDoorTest, ClientThatStopsReadingDoesNotStallOtherConnections) {
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig());
+  HttpFrontDoor door(&server, HttpFrontDoorConfig{});
+  ASSERT_TRUE(door.Start().ok());
+
+  // A client pipelines more /metrics responses (~2 KB each) than the
+  // loopback socket buffers can hold (tcp_wmem tops out at 4 MB by
+  // default), and never reads one. The door must hang it up rather than
+  // block the thread that writes its responses.
+  constexpr int kPipelined = 4000;
+  std::string burst;
+  for (int i = 0; i < kPipelined; ++i) {
+    burst += SerializeRequest("GET", "/metrics", "", "");
+  }
+  auto raw = ConnectTcp("127.0.0.1", door.port());
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  OwnedFd stalled = std::move(raw).value();
+  // Sent from a helper thread: if the door stops reading, the burst's
+  // tail can block, and the hang-up below must still reach it.
+  Status sent;
+  std::thread sender(
+      [&] { sent = SendAll(stalled.fd(), burst.data(), burst.size()); });
+
+  // Give the door time to hit the full buffer, then probe on a second
+  // connection.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  HttpClient probe = Dial(door.port());
+  auto answered = std::async(std::launch::async,
+                             [&probe] { return probe.Get("/healthz"); });
+  const bool in_time = answered.wait_for(std::chrono::seconds(2)) ==
+                       std::future_status::ready;
+  // Unblock the sender, then close: the reset frees a door thread stuck
+  // writing to this client, so the test ends even when the check fails.
+  Hangup(stalled.fd());
+  sender.join();
+  stalled.Close();
+  // The tail of the burst may meet the door's hang-up.
+  EXPECT_TRUE(sent.ok() || sent.code() == StatusCode::kUnavailable)
+      << sent.ToString();
+  EXPECT_TRUE(in_time) << "/healthz unanswered while a client stalls";
+  auto health = answered.get();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.value().status_code, 200);
+}
+
+TEST(HttpFrontDoorTest, ShutdownAnswersRequestsHeldInsideTheServer) {
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<int> embedding{0};
+  obs::MetricsRegistry registry;
+  core::RunContext ctx;
+  ctx.metrics = &registry;
+  BatchingServer server(
+      TestModel(),
+      [opened, &embedding](NodeId node, std::span<float> out) {
+        embedding.fetch_add(1);
+        opened.wait();  // Hold every request until the test opens the gate.
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, QuickServeConfig(), ctx);
+  auto door = std::make_unique<HttpFrontDoor>(&server, HttpFrontDoorConfig{},
+                                              ctx);
+  ASSERT_TRUE(door->Start().ok());
+  HttpClient client = Dial(door->port());
+
+  const std::vector<NodeId> nodes = {11, 2, 30, 7};
+  for (NodeId node : nodes) {
+    ASSERT_TRUE(client
+                    .SendRequest("POST", "/v1/infer", InferBody(node),
+                                 "application/json")
+                    .ok());
+  }
+  obs::Counter* admitted = registry.GetCounter(
+      "sgnn_net_infer_admitted_total", "", {}, obs::kVolatile);
+  const bool held = WaitFor([&] {
+    return admitted->value() == nodes.size() && embedding.load() >= 1;
+  });
+  if (!held) gate.set_value();  // Let the server's destructor finish.
+  ASSERT_TRUE(held);
+
+  std::atomic<bool> shut_down{false};
+  std::thread shutter([&] {
+    door->Shutdown();
+    shut_down.store(true);
+  });
+  // Shutdown must wait for the held requests, not drop them.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(shut_down.load());
+  gate.set_value();
+  shutter.join();
+  door.reset();  // The door goes first; the server outlives it.
+
+  // The connection is closed now, so every response below was written
+  // before Shutdown returned.
+  for (NodeId node : nodes) {
+    auto response = client.ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().status_code, 200);
+    EXPECT_NE(response.value().body.find(
+                  "\"node\":" + std::to_string(node) + ","),
+              std::string::npos);
+  }
 }
 
 }  // namespace

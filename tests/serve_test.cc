@@ -371,5 +371,66 @@ TEST(BatchingServerTest, WarmCacheServesHitsImmediately) {
   EXPECT_DOUBLE_EQ(server.Metrics().CacheHitRate(), 1.0);
 }
 
+TEST(BatchingServerTest, CallbackSubmitAnswersEachAdmittedRequestOnce) {
+  common::Rng rng(5);
+  nn::Mlp mlp({4, 3}, 0.0, &rng);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+
+  ServeConfig config;
+  config.max_batch = 2;
+  config.max_delay_micros = 0;
+  config.queue_capacity = 64;
+  config.num_workers = 1;
+  BatchingServer server(
+      FrozenModel::FromMlp(mlp),
+      [opened](NodeId node, std::span<float> out) {
+        opened.wait();  // Hold the worker so requests pile up in the queue.
+        for (float& v : out) v = static_cast<float>(node);
+        return common::Status::OK();
+      },
+      /*num_nodes=*/16, config);
+
+  constexpr int kRequests = 12;
+  std::vector<std::atomic<int>> calls(kRequests);
+  std::atomic<int> wrong_node{0};
+  std::atomic<int> stray{0};  // Callbacks of rejected submits.
+  auto count_stray = [&stray](InferenceResponse) { stray.fetch_add(1); };
+
+  EXPECT_EQ(server.Submit(InferenceRequest(99), count_stray).code(),
+            common::StatusCode::kInvalidArgument);
+  for (int i = 0; i < kRequests; ++i) {
+    const NodeId node = static_cast<NodeId>(i % 16);
+    ASSERT_TRUE(server
+                    .Submit(InferenceRequest(node),
+                            [&calls, &wrong_node, i,
+                             node](InferenceResponse response) {
+                              if (!response.status.ok() ||
+                                  response.node != node) {
+                                wrong_node.fetch_add(1);
+                              }
+                              calls[static_cast<size_t>(i)].fetch_add(1);
+                            })
+                    .ok());
+  }
+
+  // Shut down with most requests still queued behind the held worker:
+  // Shutdown must drain them, each to exactly one callback.
+  std::thread shutter([&server] { server.Shutdown(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate.set_value();
+  shutter.join();
+
+  EXPECT_EQ(server.Submit(InferenceRequest(1), count_stray).code(),
+            common::StatusCode::kFailedPrecondition);
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(calls[static_cast<size_t>(i)].load(), 1) << "request " << i;
+  }
+  EXPECT_EQ(wrong_node.load(), 0);
+  EXPECT_EQ(stray.load(), 0);
+  EXPECT_EQ(server.Metrics().requests_served,
+            static_cast<uint64_t>(kRequests));
+}
+
 }  // namespace
 }  // namespace sgnn::serve
