@@ -1,39 +1,6 @@
 #include "common/rng.h"
 
-#include <unordered_set>
-
 namespace sgnn::common {
-
-std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
-  SGNN_CHECK_LE(k, n);
-  std::vector<uint64_t> out;
-  out.reserve(k);
-  if (k == 0) return out;
-  // Dense regime: shuffle a prefix of the identity permutation.
-  if (k * 3 >= n) {
-    std::vector<uint64_t> all(n);
-    for (uint64_t i = 0; i < n; ++i) all[i] = i;
-    for (uint64_t i = 0; i < k; ++i) {
-      uint64_t j = i + UniformInt(n - i);
-      std::swap(all[i], all[j]);
-    }
-    all.resize(k);
-    return all;
-  }
-  // Sparse regime: Floyd's algorithm.
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(k * 2);
-  for (uint64_t j = n - k; j < n; ++j) {
-    uint64_t t = UniformInt(j + 1);
-    if (!seen.insert(t).second) {
-      seen.insert(j);
-      out.push_back(j);
-    } else {
-      out.push_back(t);
-    }
-  }
-  return out;
-}
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
   double total = 0.0;

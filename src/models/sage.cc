@@ -79,24 +79,22 @@ double SageModel::TrainStep(const MiniBatch& batch,
   }
   common::GlobalCounters().Acquire(resident);
 
-  // Forward with caches.
-  std::vector<Matrix> h_in;       // Input rep per layer (rows = src).
+  // Forward with caches. Layer 0 reads the caller's features in place;
+  // every later layer reads the previous layer's output.
   std::vector<Matrix> h_self;     // dst prefix per layer.
   std::vector<Matrix> agg;        // Aggregated neighbours per layer.
-  std::vector<Matrix> pre;        // Pre-activation per layer.
+  std::vector<Matrix> pre;        // Pre-activation per non-final layer.
   std::vector<Matrix> masks;      // Dropout masks per non-final layer.
-  Matrix cur = input_features;
+  Matrix out;
+  const Matrix* in = &input_features;
   for (size_t l = 0; l < num_layers; ++l) {
     const LayerSample& layer = batch.layers[l];
-    h_in.push_back(cur);
-    SGNN_CHECK_EQ(cur.rows(), static_cast<int64_t>(layer.src.size()));
-    Matrix self_rows = Prefix(cur, static_cast<int64_t>(layer.dst.size()));
-    Matrix agg_rows = AggregateLocal(layer, cur);
-    h_self.push_back(self_rows);
-    agg.push_back(agg_rows);
+    SGNN_CHECK_EQ(in->rows(), static_cast<int64_t>(layer.src.size()));
+    h_self.push_back(Prefix(*in, static_cast<int64_t>(layer.dst.size())));
+    agg.push_back(AggregateLocal(layer, *in));
     Matrix out_self, out_nbr;
-    self_[l].Forward(self_rows, &out_self);
-    nbr_[l].Forward(agg_rows, &out_nbr);
+    self_[l].Forward(h_self.back(), &out_self);
+    nbr_[l].Forward(agg.back(), &out_nbr);
     tensor::Axpy(1.0f, out_nbr, &out_self);
     const bool is_last = (l + 1 == num_layers);
     if (!is_last) {
@@ -106,23 +104,29 @@ double SageModel::TrainStep(const MiniBatch& batch,
       nn::DropoutForward(dropout_, true, rng, &out_self, &mask);
       masks.push_back(std::move(mask));
     }
-    cur = std::move(out_self);
+    out = std::move(out_self);
+    in = &out;
   }
 
   // Loss over all seeds.
   std::vector<NodeId> rows(batch.seeds().size());
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<NodeId>(i);
   Matrix dout;
-  const double loss =
-      nn::SoftmaxCrossEntropy(cur, seed_labels, rows, &dout);
+  const double loss = nn::SoftmaxCrossEntropy(out, seed_labels, rows, &dout);
 
-  // Backward.
+  // Backward. Input features are not parameters, so layer 0 computes only
+  // its weight gradients: no d(input), no scatter onto sampled sources.
   for (size_t l = num_layers; l-- > 0;) {
     const LayerSample& layer = batch.layers[l];
     const bool is_last = (l + 1 == num_layers);
     if (!is_last) {
       nn::DropoutBackward(masks[l], &dout);
       tensor::ReluBackward(pre[l], &dout);
+    }
+    if (l == 0) {
+      self_[0].Backward(h_self[0], dout, nullptr);
+      nbr_[0].Backward(agg[0], dout, nullptr);
+      break;
     }
     Matrix dself, dagg;
     self_[l].Backward(h_self[l], dout, &dself);

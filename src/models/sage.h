@@ -23,7 +23,8 @@ class SageModel {
   /// Forward + masked-CE backward over one sampled mini-batch whose
   /// `batch.layers.size()` equals the number of Sage layers.
   /// `input_features` are rows for `batch.input_nodes()`, gathered by the
-  /// caller. Loss is over all seeds. Returns the loss.
+  /// caller; they are read in place and get no gradient (they are not
+  /// parameters). Loss is over all seeds. Returns the loss.
   double TrainStep(const sampling::MiniBatch& batch,
                    const tensor::Matrix& input_features,
                    std::span<const int> seed_labels, common::Rng* rng);

@@ -16,8 +16,11 @@ namespace sgnn::sampling {
 /// flattened in destination order. Pure assembly — no draws — shared by
 /// the in-memory samplers and the out-of-core sampler in `sgnn::storage`,
 /// so both produce byte-identical blocks from identical edge lists.
+/// Global ids map to local ones through a dense `num_nodes`-sized index
+/// (every id must be below `num_nodes`); a repeated destination keeps its
+/// first position.
 LayerSample AssembleLayer(
-    std::span<const graph::NodeId> dst,
+    graph::NodeId num_nodes, std::span<const graph::NodeId> dst,
     const std::vector<std::vector<std::pair<graph::NodeId, float>>>& edges);
 
 }  // namespace sgnn::sampling

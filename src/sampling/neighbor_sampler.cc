@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/counters.h"
 #include "par/par.h"
 #include "sampling/assembly.h"
 
@@ -13,24 +14,29 @@ using graph::CsrGraph;
 using graph::NodeId;
 
 LayerSample AssembleLayer(
-    std::span<const NodeId> dst,
+    NodeId num_nodes, std::span<const NodeId> dst,
     const std::vector<std::vector<std::pair<NodeId, float>>>& edges) {
   SGNN_CHECK_EQ(dst.size(), edges.size());
   LayerSample layer;
   layer.dst.assign(dst.begin(), dst.end());
   layer.src = layer.dst;
-  std::unordered_map<NodeId, uint32_t> local;
-  local.reserve(dst.size() * 2);
+  // Dense global -> local index; the first appearance of a node wins.
+  constexpr uint32_t kUnseen = ~uint32_t{0};
+  std::vector<uint32_t> local(num_nodes, kUnseen);
   for (size_t i = 0; i < dst.size(); ++i) {
-    local.emplace(dst[i], static_cast<uint32_t>(i));
+    SGNN_CHECK_LT(dst[i], num_nodes);
+    if (local[dst[i]] == kUnseen) local[dst[i]] = static_cast<uint32_t>(i);
   }
   layer.offsets.push_back(0);
   for (size_t i = 0; i < dst.size(); ++i) {
     for (const auto& [v, w] : edges[i]) {
-      auto [it, inserted] =
-          local.emplace(v, static_cast<uint32_t>(layer.src.size()));
-      if (inserted) layer.src.push_back(v);
-      layer.src_local.push_back(it->second);
+      SGNN_DCHECK_LT(v, num_nodes);
+      uint32_t& slot = local[v];
+      if (slot == kUnseen) {
+        slot = static_cast<uint32_t>(layer.src.size());
+        layer.src.push_back(v);
+      }
+      layer.src_local.push_back(slot);
       layer.weights.push_back(w);
     }
     layer.offsets.push_back(static_cast<graph::EdgeIndex>(layer.src_local.size()));
@@ -88,6 +94,7 @@ MiniBatch SampleNodeWise(const CsrGraph& graph,
         par::ParallelFor(
             "sample.node_wise", DstShards(dst.size()),
             [&](int, par::Range range) {
+              uint64_t scanned = 0;
               for (int64_t i = range.begin; i < range.end; ++i) {
                 auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
                 auto& out = edges[static_cast<size_t>(i)];
@@ -96,16 +103,18 @@ MiniBatch SampleNodeWise(const CsrGraph& graph,
                   const float w = 1.0f / static_cast<float>(nbrs.size());
                   for (NodeId v : nbrs) out.emplace_back(v, w);
                 } else {
-                  common::Rng local(common::MixSeed(
-                      layer_base, dst[static_cast<size_t>(i)]));
+                  common::KeyedStream local(layer_base,
+                                            dst[static_cast<size_t>(i)]);
                   auto picks = local.SampleWithoutReplacement(
                       nbrs.size(), static_cast<uint64_t>(fanout));
                   const float w = 1.0f / static_cast<float>(fanout);
                   for (uint64_t p : picks) out.emplace_back(nbrs[p], w);
                 }
+                scanned += out.size();
               }
+              common::GlobalCounters().edges_touched += scanned;
             });
-        return AssembleLayer(dst, edges);
+        return AssembleLayer(graph.num_nodes(), dst, edges);
       });
 }
 
@@ -125,9 +134,11 @@ MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
         std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
         par::ParallelFor(
             "sample.labor", DstShards(dst.size()), [&](int, par::Range range) {
+              uint64_t scanned = 0;
               for (int64_t i = range.begin; i < range.end; ++i) {
                 auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
                 auto& out = edges[static_cast<size_t>(i)];
+                scanned += nbrs.size();
                 if (nbrs.empty()) continue;
                 const double degree = static_cast<double>(nbrs.size());
                 const double p =
@@ -139,8 +150,9 @@ MiniBatch SampleLabor(const CsrGraph& graph, std::span<const NodeId> seeds,
                   }
                 }
               }
+              common::GlobalCounters().edges_touched += scanned;
             });
-        return AssembleLayer(dst, edges);
+        return AssembleLayer(graph.num_nodes(), dst, edges);
       });
 }
 
@@ -178,9 +190,11 @@ MiniBatch SampleLayerWise(const CsrGraph& graph,
         par::ParallelFor(
             "sample.layer_wise", DstShards(dst.size()),
             [&](int, par::Range range) {
+              uint64_t scanned = 0;
               for (int64_t i = range.begin; i < range.end; ++i) {
                 auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
                 auto& out = edges[static_cast<size_t>(i)];
+                scanned += nbrs.size();
                 if (nbrs.empty()) continue;
                 const double inv_deg = 1.0 / static_cast<double>(nbrs.size());
                 for (NodeId v : nbrs) {
@@ -193,8 +207,9 @@ MiniBatch SampleLayerWise(const CsrGraph& graph,
                   out.emplace_back(v, static_cast<float>(w));
                 }
               }
+              common::GlobalCounters().edges_touched += scanned;
             });
-        return AssembleLayer(dst, edges);
+        return AssembleLayer(graph.num_nodes(), dst, edges);
       });
 }
 
@@ -205,15 +220,18 @@ MiniBatch FullNeighborhood(const CsrGraph& graph,
         std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
         par::ParallelFor(
             "sample.full", DstShards(dst.size()), [&](int, par::Range range) {
+              uint64_t scanned = 0;
               for (int64_t i = range.begin; i < range.end; ++i) {
                 auto nbrs = graph.Neighbors(dst[static_cast<size_t>(i)]);
                 auto& out = edges[static_cast<size_t>(i)];
+                scanned += nbrs.size();
                 if (nbrs.empty()) continue;
                 const float w = 1.0f / static_cast<float>(nbrs.size());
                 for (NodeId v : nbrs) out.emplace_back(v, w);
               }
+              common::GlobalCounters().edges_touched += scanned;
             });
-        return AssembleLayer(dst, edges);
+        return AssembleLayer(graph.num_nodes(), dst, edges);
       });
 }
 

@@ -14,7 +14,8 @@ namespace sgnn::sampling {
 /// destination draws from a keyed stream derived from (layer, node) via
 /// `common::MixSeed`, never from the shared `rng` stream directly, so a
 /// batch is bit-identical for any `SGNN_THREADS`; `rng` advances once per
-/// layer (plus the global draws of layer-wise sampling).
+/// layer (plus the global draws of layer-wise sampling). Each sampler
+/// bills `edges_touched` for the adjacency entries it reads.
 
 /// Node-wise (GraphSAGE-style) neighbour sampling: every destination node
 /// independently draws up to `fanout` neighbours without replacement.

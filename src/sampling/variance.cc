@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/counters.h"
 #include "common/rng.h"
 #include "sampling/neighbor_sampler.h"
 
@@ -22,6 +23,7 @@ std::vector<double> ExactNeighborhoodMean(const CsrGraph& graph,
     for (int64_t c = 0; c < features.cols(); ++c) mean[static_cast<size_t>(c)] += row[c];
   }
   for (double& m : mean) m /= static_cast<double>(nbrs.size());
+  common::GlobalCounters().edges_touched += nbrs.size();
   return mean;
 }
 

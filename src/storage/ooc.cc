@@ -274,6 +274,7 @@ StatusOr<sampling::MiniBatch> SampleNodeWise(ShardedGraph* graph,
       const auto ranges = par::SplitUniform(m, par::ShardsFor(m, kDstGrain));
       par::ParallelFor(
           "storage.sample.node_wise", ranges, [&](int, par::Range range) {
+            uint64_t scanned = 0;
             for (int64_t b = range.begin; b < range.end; ++b) {
               const size_t i = static_cast<size_t>(bucket[b]);
               auto nbrs = pin.Neighbors(dst[i]);
@@ -283,16 +284,20 @@ StatusOr<sampling::MiniBatch> SampleNodeWise(ShardedGraph* graph,
                 const float w = 1.0f / static_cast<float>(nbrs.size());
                 for (NodeId v : nbrs) out.emplace_back(v, w);
               } else {
-                common::Rng local(common::MixSeed(layer_base, dst[i]));
+                common::KeyedStream local(layer_base, dst[i]);
                 auto picks = local.SampleWithoutReplacement(
                     nbrs.size(), static_cast<uint64_t>(fanout));
                 const float w = 1.0f / static_cast<float>(fanout);
                 for (uint64_t pick : picks) out.emplace_back(nbrs[pick], w);
               }
+              scanned += out.size();
             }
+            // The in-memory sampler's bill: adjacency entries read.
+            common::GlobalCounters().edges_touched += scanned;
           });
     }
-    sampling::LayerSample layer = sampling::AssembleLayer(dst, edges);
+    sampling::LayerSample layer =
+        sampling::AssembleLayer(graph->num_nodes(), dst, edges);
     frontier = layer.src;
     outer_first.push_back(std::move(layer));
   }

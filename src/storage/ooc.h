@@ -80,7 +80,8 @@ SGNN_NODISCARD common::StatusOr<std::vector<ppr::PushResult>> PushBatch(
 /// per-destination keyed streams, so the batch is byte-identical to the
 /// in-memory sampler with an equal-state `rng`. Destinations are grouped
 /// by shard and shards visited in ascending order; the keyed draws make
-/// the grouping invisible in the output.
+/// the grouping invisible in the output. Bills `edges_touched` exactly as
+/// the in-memory sampler does.
 SGNN_NODISCARD common::StatusOr<sampling::MiniBatch> SampleNodeWise(
     ShardedGraph* graph, std::span<const graph::NodeId> seeds,
     std::span<const int> fanouts, common::Rng* rng);

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
@@ -193,6 +194,39 @@ TEST(RngTest, SampleWithoutReplacementIsUniformish) {
   }
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / reps, 0.5, 0.05);
+  }
+}
+
+TEST(KeyedStreamTest, EqualsMt19937_64AcrossTheLazySeedingBoundary) {
+  // Draw counts run 1..700, so streams stop before, at and after the 156th
+  // draw (the last one seeding lazily) and the 312-word twist boundaries.
+  for (uint64_t base : {0ULL, 0x9E3779B97F4A7C15ULL}) {
+    for (uint64_t key = 0; key < 5000; ++key) {
+      KeyedStream keyed(base, key);
+      std::mt19937_64 reference(MixSeed(base, key));
+      const uint64_t draws = 1 + (key * 7919) % 700;
+      for (uint64_t d = 0; d < draws; ++d) {
+        ASSERT_EQ(keyed(), reference()) << "key " << key << " draw " << d;
+      }
+    }
+  }
+}
+
+TEST(KeyedStreamTest, SampleWithoutReplacementEqualsRng) {
+  // (n, k) pairs in the dense regime (3k >= n), in Floyd's regime, and
+  // with k past the lazily seeded prefix of the stream.
+  const std::vector<std::pair<uint64_t, uint64_t>> shapes = {
+      {1, 1},    {7, 3},     {10, 10},    {30, 10},   {31, 10},
+      {200, 10}, {5000, 25}, {1000, 400}, {100000, 300}};
+  for (const auto& [n, k] : shapes) {
+    for (uint64_t key = 0; key < 2000; ++key) {
+      const uint64_t base = 0xC0FFEE + n;
+      KeyedStream keyed(base, key);
+      Rng reference(MixSeed(base, key));
+      ASSERT_EQ(keyed.SampleWithoutReplacement(n, k),
+                reference.SampleWithoutReplacement(n, k))
+          << "n " << n << " k " << k << " key " << key;
+    }
   }
 }
 

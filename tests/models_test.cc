@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/dataset.h"
 #include "models/cluster_gcn.h"
 #include "models/decoupled.h"
 #include "models/gcn.h"
 #include "models/sage.h"
 #include "models/saint.h"
+#include "sampling/neighbor_sampler.h"
 
 namespace sgnn::models {
 namespace {
@@ -251,6 +255,69 @@ TEST(SageTest, LaborVariantMatchesNodeWiseQuality) {
                 SageConfig{.fanouts = {5, 5}, .use_labor = true});
   EXPECT_EQ(labor.name, "sage_labor");
   EXPECT_GT(labor.report.test_accuracy, 0.8);
+}
+
+/// FNV-1a over the bit patterns of every parameter gradient, in
+/// `Params()` order: one number that moves if any gradient bit does.
+uint64_t GradientBits(SageModel* model) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const nn::ParamRef& p : model->Params()) {
+    for (int64_t i = 0; i < p.grad->size(); ++i) {
+      h ^= std::bit_cast<uint32_t>(p.grad->data()[i]);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Bit pins of sampled SAGE training, recorded with the layer-0 input
+// gradient still computed. Input features are not parameters, so
+// `SageModel::TrainStep` skipping d(input) at layer 0 must not move any
+// loss, accuracy or parameter-gradient bit.
+TEST(SageTest, TrainSageBitsArePinned) {
+  core::SbmDatasetConfig dconfig;
+  dconfig.sbm = {.num_nodes = 400, .num_classes = 3, .avg_degree = 12,
+                 .homophily = 0.6};
+  dconfig.feature_dim = 8;
+  dconfig.feature_noise = 2.0;
+  Dataset d = core::MakeSbmDataset(dconfig, 3);
+  nn::TrainConfig config = FastConfig();
+  config.epochs = 5;
+  config.batch_size = 64;
+  const ModelResult node_wise = TrainSage(
+      d.graph, d.features, d.labels, d.splits, config,
+      SageConfig{.fanouts = {5, 5}});
+  const ModelResult labor = TrainSage(
+      d.graph, d.features, d.labels, d.splits, config,
+      SageConfig{.fanouts = {5, 5}, .use_labor = true});
+  EXPECT_EQ(std::bit_cast<uint64_t>(node_wise.report.final_train_loss),
+            0x3ff124bc29b88c6bULL);
+  EXPECT_EQ(std::bit_cast<uint64_t>(node_wise.report.test_accuracy),
+            0x3fdd99999999999aULL);
+  EXPECT_EQ(std::bit_cast<uint64_t>(labor.report.final_train_loss),
+            0x3ff222ac22036be8ULL);
+  EXPECT_EQ(std::bit_cast<uint64_t>(labor.report.test_accuracy),
+            0x3fdf333333333333ULL);
+}
+
+TEST(SageTest, TrainStepGradientBitsArePinned) {
+  Dataset d = EasyDataset();
+  common::Rng rng(7);
+  SageModel model({8, 16, 3}, 0.5, &rng);
+  const std::vector<graph::NodeId> seeds(d.splits.train.begin(),
+                                         d.splits.train.begin() + 64);
+  const std::vector<int> fanouts = {5, 5};
+  const sampling::MiniBatch batch =
+      sampling::SampleNodeWise(d.graph, seeds, fanouts, &rng);
+  const std::vector<int64_t> gather(batch.input_nodes().begin(),
+                                    batch.input_nodes().end());
+  const tensor::Matrix input = d.features.GatherRows(gather);
+  std::vector<int> seed_labels;
+  for (graph::NodeId s : seeds) seed_labels.push_back(d.labels[s]);
+  model.ZeroGrad();
+  const double loss = model.TrainStep(batch, input, seed_labels, &rng);
+  EXPECT_EQ(std::bit_cast<uint64_t>(loss), 0x3ff52289fb399555ULL);
+  EXPECT_EQ(GradientBits(&model), 0x252e405db25d0426ULL);
 }
 
 TEST(SaintTest, WalkSamplerLearnsHomophilousSbm) {

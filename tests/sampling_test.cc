@@ -6,7 +6,10 @@
 #include <thread>
 #include <unordered_set>
 
+#include "common/counters.h"
 #include "graph/generators.h"
+#include "par/par.h"
+#include "sampling/assembly.h"
 #include "sampling/historical_cache.h"
 #include "sampling/neighbor_sampler.h"
 #include "sampling/subgraph_sampler.h"
@@ -204,6 +207,127 @@ TEST(FullNeighborhoodTest, VarianceDecreasesWithFanout) {
   auto f8 = MeasureSamplerVariance(g, x, seeds, SamplerKind::kNodeWise, 8,
                                    300, 37);
   EXPECT_LT(f8.mean_squared_error, f2.mean_squared_error);
+}
+
+// ----------------------------------------------------------- assembly
+
+using EdgeLists = std::vector<std::vector<std::pair<NodeId, float>>>;
+
+/// Brute-force `AssembleLayer`: each neighbour's local id is its first
+/// position in `src`, found by linear scan.
+LayerSample ReferenceAssemble(const std::vector<NodeId>& dst,
+                              const EdgeLists& edges) {
+  LayerSample layer;
+  layer.dst = dst;
+  layer.src = dst;
+  layer.offsets.push_back(0);
+  for (size_t i = 0; i < dst.size(); ++i) {
+    for (const auto& [v, w] : edges[i]) {
+      auto it = std::find(layer.src.begin(), layer.src.end(), v);
+      if (it == layer.src.end()) it = layer.src.insert(it, v);
+      layer.src_local.push_back(
+          static_cast<uint32_t>(it - layer.src.begin()));
+      layer.weights.push_back(w);
+    }
+    layer.offsets.push_back(
+        static_cast<graph::EdgeIndex>(layer.src_local.size()));
+  }
+  return layer;
+}
+
+void ExpectLayersEqual(const LayerSample& got, const LayerSample& want) {
+  EXPECT_EQ(got.dst, want.dst);
+  EXPECT_EQ(got.src, want.src);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.src_local, want.src_local);
+  EXPECT_EQ(got.weights, want.weights);
+}
+
+TEST(AssembleLayerTest, MatchesReferenceOnHandPickedEdgeCases) {
+  // Duplicate neighbours (7 twice), an empty list, destinations that
+  // reappear as neighbours (2 and 5), and a repeated destination (9).
+  const std::vector<NodeId> dst = {5, 2, 9, 9};
+  const EdgeLists edges = {{{2, 0.5f}, {7, 0.5f}},
+                           {},
+                           {{7, 1.0f}, {7, 1.0f}, {5, 0.25f}, {3, 0.75f}},
+                           {{9, 2.0f}, {0, 1.0f}}};
+  const LayerSample layer = AssembleLayer(10, dst, edges);
+  ExpectLayersEqual(layer, ReferenceAssemble(dst, edges));
+  EXPECT_EQ(layer.src, (std::vector<NodeId>{5, 2, 9, 9, 7, 3, 0}));
+  EXPECT_EQ(layer.src_local,
+            (std::vector<uint32_t>{1, 4, 4, 4, 0, 5, 2, 6}));
+}
+
+TEST(AssembleLayerTest, MatchesReferenceOnRandomEdgeLists) {
+  common::Rng rng(41);
+  const NodeId num_nodes = 40;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<NodeId> dst(1 + rng.UniformInt(12));
+    for (NodeId& d : dst) d = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    EdgeLists edges(dst.size());
+    for (auto& list : edges) {
+      const uint64_t len = rng.UniformInt(6);  // 0 = empty list.
+      for (uint64_t e = 0; e < len; ++e) {
+        list.emplace_back(static_cast<NodeId>(rng.UniformInt(num_nodes)),
+                          static_cast<float>(rng.Uniform()));
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectLayersEqual(AssembleLayer(num_nodes, dst, edges),
+                      ReferenceAssemble(dst, edges));
+  }
+}
+
+// ----------------------------------------------------------- billing
+
+/// Adjacency entries a full scan of every layer's destinations reads.
+uint64_t DegreeSum(const CsrGraph& g, const MiniBatch& batch) {
+  uint64_t total = 0;
+  for (const LayerSample& layer : batch.layers) {
+    for (NodeId d : layer.dst) total += g.OutDegree(d);
+  }
+  return total;
+}
+
+TEST(SamplerBillingTest, BillsAdjacencyReadAtAnyWorkerCount) {
+  const CsrGraph g = graph::BarabasiAlbert(600, 6, 3);
+  const std::vector<NodeId> seeds = FirstSeeds(80);
+  const std::vector<int> fanouts = {4, 3};
+  const std::vector<int> sizes = {96, 64};
+  const int saved_threads = par::NumThreads();
+  std::vector<uint64_t> first;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    par::SetThreads(threads);
+    std::vector<uint64_t> billed;
+    auto bill = [&](auto&& sample) {
+      common::ScopedCounterDelta scope;
+      const MiniBatch batch = sample();
+      billed.push_back(scope.Delta().edges_touched);
+      return batch;
+    };
+    common::Rng rng(5);
+    // Node-wise reads exactly the entries it keeps; the others scan every
+    // destination's full adjacency.
+    const MiniBatch node_wise =
+        bill([&] { return SampleNodeWise(g, seeds, fanouts, &rng); });
+    EXPECT_EQ(billed.back(), static_cast<uint64_t>(node_wise.TotalEdges()));
+    const MiniBatch labor =
+        bill([&] { return SampleLabor(g, seeds, fanouts, &rng); });
+    EXPECT_EQ(billed.back(), DegreeSum(g, labor));
+    const MiniBatch layer_wise =
+        bill([&] { return SampleLayerWise(g, seeds, sizes, &rng); });
+    EXPECT_EQ(billed.back(), DegreeSum(g, layer_wise));
+    const MiniBatch full = bill([&] { return FullNeighborhood(g, seeds, 2); });
+    EXPECT_EQ(billed.back(), DegreeSum(g, full));
+    EXPECT_EQ(billed.back(), static_cast<uint64_t>(full.TotalEdges()));
+    if (first.empty()) {
+      first = billed;
+    } else {
+      EXPECT_EQ(billed, first);
+    }
+  }
+  par::SetThreads(saved_threads);
 }
 
 TEST(SubgraphNodeSamplerTest, BudgetRespectedAndSorted) {

@@ -508,6 +508,37 @@ TEST(BitIdentityTest, PipelineMatchesInMemoryAtAnyBudgetAndThreads) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CountersTest, OutOfCoreSamplerBillsLikeInMemory) {
+  const CsrGraph g = graph::BarabasiAlbert(400, 6, 17);
+  const std::string dir = NewDir("sample_billing");
+  ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 4), dir).ok());
+  const std::vector<NodeId> seeds = {0, 3, 19, 77, 150, 201, 333, 399};
+  const std::vector<int> fanouts = {4, 3};
+  common::ScopedCounterDelta in_memory_scope;
+  common::Rng in_memory_rng(21);
+  const sampling::MiniBatch expected =
+      sampling::SampleNodeWise(g, seeds, fanouts, &in_memory_rng);
+  const uint64_t in_memory_edges = in_memory_scope.Delta().edges_touched;
+  EXPECT_EQ(in_memory_edges, static_cast<uint64_t>(expected.TotalEdges()));
+
+  const int saved_threads = par::NumThreads();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    par::SetThreads(threads);
+    OpenOptions options;
+    options.budget_bytes = kUnlimitedBudget;
+    auto open_or = ShardedGraph::Open(dir, options);
+    ASSERT_TRUE(open_or.ok());
+    common::Rng rng(21);
+    common::ScopedCounterDelta scope;
+    auto batch_or = SampleNodeWise(open_or.value().get(), seeds, fanouts, &rng);
+    ASSERT_TRUE(batch_or.ok());
+    EXPECT_EQ(scope.Delta().edges_touched, in_memory_edges);
+  }
+  par::SetThreads(saved_threads);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CountersTest, ShardCountersBillAndRebase) {
   const CsrGraph g = graph::ErdosRenyi(150, 700, 31);
   const std::string dir = NewDir("counters");

@@ -4,13 +4,15 @@ visible.
 The scalability claims are stated in OpCounters units (edges touched,
 floats moved, resident bytes), not wall clock -- see common/counters.h. A
 translation unit under the kernel directories (src/graph, src/par,
-src/storage, src/dist) that traverses adjacency but never references the
-OpCounters API has silently opted out of that accounting: its work is
-invisible to ScopedCounterDelta regions, pipeline report rows, and the
-obs gauge exports.
+src/sampling, src/storage, src/dist) that traverses adjacency but never
+references the OpCounters API has silently opted out of that accounting:
+its work is invisible to ScopedCounterDelta regions, pipeline report
+rows, and the obs gauge exports.
 
 Traversal is recognised by any of:
   * a range-for over `Neighbors(...)` (the CSR adjacency accessor),
+  * a range-for over `nbrs`, the name the kernels give a bound
+    `Neighbors(u)` span,
   * read-side indexing of a CSR neighbour array (`neighbors[`; the
     write-side build arrays are named `neighbors_` and do not match),
   * a for-loop bounded by `num_edges()`.
@@ -33,11 +35,14 @@ RULES = [
         fixture_rel="src/graph/fixture.cc"),
 ]
 
-KERNEL_PREFIXES = ("src/graph/", "src/par/", "src/storage/", "src/dist/")
+KERNEL_PREFIXES = ("src/graph/", "src/par/", "src/sampling/", "src/storage/",
+                   "src/dist/")
 
 TRAVERSAL_PATTERNS = [
     ("range-for over Neighbors()",
      re.compile(r"for\s*\([^;(){}]*:\s*[^(){}]*\bNeighbors\s*\(")),
+    ("range-for over a bound nbrs span",
+     re.compile(r"for\s*\([^;(){}]*:\s*nbrs\s*\)")),
     ("neighbors[] read",
      re.compile(r"\bneighbors\s*\[")),
     ("loop bounded by num_edges()",
