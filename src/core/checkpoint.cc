@@ -1,13 +1,11 @@
 #include "core/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
+#include <cstddef>
+#include <string_view>
 #include <type_traits>
 
 #include "analysis/validate.h"
-#include "common/crc32.h"
+#include "common/bytes.h"
 
 namespace sgnn::core {
 
@@ -19,96 +17,50 @@ namespace {
 constexpr char kMagic[8] = {'S', 'G', 'N', 'N', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersion = 1;
 
-// ---- little serialisation helpers over a growable byte buffer ----------
-
-void PutBytes(std::string* buf, const void* data, size_t n) {
-  buf->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutBytes(buf, &v, sizeof(v));
-}
-
-void PutString(std::string* buf, const std::string& s) {
-  PutPod<uint32_t>(buf, static_cast<uint32_t>(s.size()));
-  PutBytes(buf, s.data(), s.size());
-}
-
-/// Bounds-checked forward reader over the loaded snapshot bytes. Every
-/// getter reports underrun through `ok`, so a truncated file surfaces as a
-/// framing error instead of undefined behaviour.
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-
-  std::string Str() {
-    const uint32_t n = Pod<uint32_t>();
-    if (!ok || n > left) {
-      ok = false;
-      return {};
-    }
-    std::string s(p, n);
-    p += n;
-    left -= n;
-    return s;
-  }
-};
+// Edges are stored as their in-memory records: u32 src | u32 dst | f32
+// weight, so the edge list goes to and from disk as one array.
+static_assert(std::is_trivially_copyable_v<graph::Edge> &&
+              sizeof(graph::Edge) == 12 &&
+              offsetof(graph::Edge, dst) == 4 &&
+              offsetof(graph::Edge, weight) == 8);
 
 std::string Serialize(const PipelineSnapshot& snap) {
-  std::string buf;
-  PutBytes(&buf, kMagic, sizeof(kMagic));
-  PutPod<uint32_t>(&buf, kVersion);
-  PutPod<uint64_t>(&buf, snap.signature);
-  PutPod<int32_t>(&buf, snap.stages_done);
-
-  PutPod<uint32_t>(&buf, static_cast<uint32_t>(snap.stages.size()));
-  for (const StageTiming& stage : snap.stages) {
-    PutString(&buf, stage.name);
-    PutPod<double>(&buf, stage.seconds);
-    PutPod<uint64_t>(&buf, stage.ops.edges_touched);
-    PutPod<uint64_t>(&buf, stage.ops.floats_moved);
-    PutPod<uint64_t>(&buf, stage.ops.peak_resident_floats);
-    PutPod<uint64_t>(&buf, stage.ops.resident_floats);
-  }
-
-  PutPod<int64_t>(&buf, snap.edges_before);
-  PutPod<int64_t>(&buf, snap.feature_cols_before);
-
-  PutPod<uint32_t>(&buf, snap.graph.num_nodes());
   const std::vector<graph::Edge> edges = snap.graph.ToEdges();
-  PutPod<uint64_t>(&buf, static_cast<uint64_t>(edges.size()));
-  for (const graph::Edge& e : edges) {
-    PutPod<uint32_t>(&buf, e.src);
-    PutPod<uint32_t>(&buf, e.dst);
-    PutPod<float>(&buf, e.weight);  // Raw bits: resume is bit-identical.
+  const size_t feature_floats = static_cast<size_t>(snap.features.size());
+  size_t stage_bytes = 0;
+  for (const StageTiming& stage : snap.stages) {
+    stage_bytes += sizeof(uint32_t) + stage.name.size() + 5 * sizeof(uint64_t);
+  }
+  // Exact size (76 bytes of fixed fields and CRC, then stages, edges and
+  // features): one allocation for the whole snapshot.
+  common::ByteWriter w(76 + stage_bytes + edges.size() * sizeof(graph::Edge) +
+                       feature_floats * sizeof(float));
+  w.Bytes(kMagic, sizeof(kMagic));
+  w.Pod<uint32_t>(kVersion);
+  w.Pod<uint64_t>(snap.signature);
+  w.Pod<int32_t>(snap.stages_done);
+
+  w.Pod(static_cast<uint32_t>(snap.stages.size()));
+  for (const StageTiming& stage : snap.stages) {
+    w.Str32(stage.name);
+    w.Pod<double>(stage.seconds);
+    w.Pod<uint64_t>(stage.ops.edges_touched);
+    w.Pod<uint64_t>(stage.ops.floats_moved);
+    w.Pod<uint64_t>(stage.ops.peak_resident_floats);
+    w.Pod<uint64_t>(stage.ops.resident_floats);
   }
 
-  PutPod<int64_t>(&buf, snap.features.rows());
-  PutPod<int64_t>(&buf, snap.features.cols());
-  PutBytes(&buf, snap.features.data(),
-           static_cast<size_t>(snap.features.size()) * sizeof(float));
-  return buf;
+  w.Pod<int64_t>(snap.edges_before);
+  w.Pod<int64_t>(snap.feature_cols_before);
+
+  w.Pod<uint32_t>(snap.graph.num_nodes());
+  w.Vec64(edges);  // Raw bits: resume is bit-identical.
+
+  w.Pod<int64_t>(snap.features.rows());
+  w.Pod<int64_t>(snap.features.cols());
+  w.Array(snap.features.data(), feature_floats);
+  w.CrcTrailer();
+  return w.Take();
 }
 
 Status Corrupt(const std::string& path, const std::string& why) {
@@ -133,108 +85,75 @@ uint64_t PipelineSignature(const std::vector<std::string>& stage_names,
 
 Status SaveSnapshot(const PipelineSnapshot& snapshot,
                     const std::string& path) {
-  std::string payload = Serialize(snapshot);
-  const uint32_t crc = common::Crc32(payload.data(), payload.size());
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open for write: " + tmp);
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    if (!out) return Status::IOError("write failed: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("rename failed: " + tmp + " -> " + path);
-  }
-  return Status::OK();
+  return common::WriteFileAtomic(path, Serialize(snapshot));
 }
 
 StatusOr<PipelineSnapshot> LoadSnapshot(const std::string& path,
                                         uint64_t expected_signature) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no snapshot at " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::IOError("read failed: " + path);
-  }
+  auto file_or = common::ReadFile(path);
+  if (!file_or.ok()) return file_or.status();
+  const std::string& bytes = file_or.value();
   if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t)) {
     return Corrupt(path, "truncated");
   }
+  const auto payload = common::StripCrcTrailer(bytes);
+  if (!payload) return Corrupt(path, "CRC mismatch");
 
-  const size_t payload_size = bytes.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload_size, sizeof(stored_crc));
-  if (common::Crc32(bytes.data(), payload_size) != stored_crc) {
-    return Corrupt(path, "CRC mismatch");
-  }
-
-  Cursor cur{bytes.data(), payload_size};
-  char magic[sizeof(kMagic)];
-  cur.Take(magic, sizeof(magic));
-  if (!cur.ok || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  common::ByteReader in(*payload);
+  const char* magic = in.Skip(sizeof(kMagic));
+  if (magic == nullptr || std::string_view(magic, sizeof(kMagic)) !=
+                              std::string_view(kMagic, sizeof(kMagic))) {
     return Corrupt(path, "bad magic");
   }
-  if (cur.Pod<uint32_t>() != kVersion) {
+  if (in.Pod<uint32_t>() != kVersion) {
     return Corrupt(path, "unsupported version");
   }
 
   PipelineSnapshot snap;
-  snap.signature = cur.Pod<uint64_t>();
-  if (cur.ok && snap.signature != expected_signature) {
+  snap.signature = in.Pod<uint64_t>();
+  if (in.ok() && snap.signature != expected_signature) {
     return Status::FailedPrecondition(
         "snapshot " + path + " belongs to a different pipeline");
   }
-  snap.stages_done = cur.Pod<int32_t>();
+  snap.stages_done = in.Pod<int32_t>();
 
-  const uint32_t num_stages = cur.Pod<uint32_t>();
-  for (uint32_t i = 0; cur.ok && i < num_stages; ++i) {
+  const uint32_t num_stages = in.Pod<uint32_t>();
+  for (uint32_t i = 0; in.ok() && i < num_stages; ++i) {
     StageTiming stage;
-    stage.name = cur.Str();
-    stage.seconds = cur.Pod<double>();
-    stage.ops.edges_touched = cur.Pod<uint64_t>();
-    stage.ops.floats_moved = cur.Pod<uint64_t>();
-    stage.ops.peak_resident_floats = cur.Pod<uint64_t>();
-    stage.ops.resident_floats = cur.Pod<uint64_t>();
+    stage.name = in.Str32();
+    stage.seconds = in.Pod<double>();
+    stage.ops.edges_touched = in.Pod<uint64_t>();
+    stage.ops.floats_moved = in.Pod<uint64_t>();
+    stage.ops.peak_resident_floats = in.Pod<uint64_t>();
+    stage.ops.resident_floats = in.Pod<uint64_t>();
     snap.stages.push_back(std::move(stage));
   }
 
-  snap.edges_before = cur.Pod<int64_t>();
-  snap.feature_cols_before = cur.Pod<int64_t>();
+  snap.edges_before = in.Pod<int64_t>();
+  snap.feature_cols_before = in.Pod<int64_t>();
 
-  const uint32_t num_nodes = cur.Pod<uint32_t>();
-  const uint64_t num_edges = cur.Pod<uint64_t>();
-  constexpr size_t kEdgeBytes = 2 * sizeof(uint32_t) + sizeof(float);
-  if (!cur.ok || num_edges > cur.left / kEdgeBytes) {
-    return Corrupt(path, "bad edge count");
-  }
+  const uint32_t num_nodes = in.Pod<uint32_t>();
   std::vector<graph::Edge> edges;
-  edges.reserve(num_edges);
-  for (uint64_t i = 0; cur.ok && i < num_edges; ++i) {
-    graph::Edge e;
-    e.src = cur.Pod<uint32_t>();
-    e.dst = cur.Pod<uint32_t>();
-    e.weight = cur.Pod<float>();
+  in.Vec64(&edges);
+  if (!in.ok()) return Corrupt(path, "bad edge count");
+  for (const graph::Edge& e : edges) {
     if (e.src >= num_nodes || e.dst >= num_nodes) {
       return Corrupt(path, "edge endpoint out of range");
     }
-    edges.push_back(e);
   }
 
-  const int64_t rows = cur.Pod<int64_t>();
-  const int64_t cols = cur.Pod<int64_t>();
-  if (!cur.ok || rows < 0 || cols < 0 ||
-      static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) *
-              sizeof(float) !=
-          cur.left) {
+  // The row count is checked against the bytes left before anything is
+  // sized from it: rows * cols * 4 must not wrap.
+  const int64_t rows = in.Pod<int64_t>();
+  const int64_t cols = in.Pod<int64_t>();
+  if (!in.ok() || rows < 0 || cols < 0 || !in.Fits(cols, sizeof(float)) ||
+      (cols != 0 && !in.Fits(rows, cols * sizeof(float))) ||
+      static_cast<uint64_t>(rows * cols) * sizeof(float) != in.left()) {
     return Corrupt(path, "bad feature dimensions");
   }
   snap.features = tensor::Matrix(rows, cols);
-  cur.Take(snap.features.data(),
+  in.Bytes(snap.features.data(),
            static_cast<size_t>(snap.features.size()) * sizeof(float));
-  if (!cur.ok) return Corrupt(path, "truncated payload");
 
   snap.graph = graph::CsrGraph::FromEdges(num_nodes, std::move(edges));
   if (snap.stages_done < 0 ||

@@ -8,11 +8,11 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/posix.h"
 #include "core/checkpoint.h"
 #include "dist/exchange.h"
@@ -28,6 +28,15 @@ using common::StatusOr;
 using graph::NodeId;
 
 namespace {
+
+/// `EncodeRows` over the coordinator's state (indexed by global id),
+/// billing one float moved per value shipped to a worker.
+std::string EncodeBilled(const std::vector<NodeId>& ids,
+                         const tensor::Matrix& state) {
+  common::GlobalCounters().floats_moved +=
+      static_cast<uint64_t>(ids.size()) * static_cast<uint64_t>(state.cols());
+  return EncodeRows(ids, state);
+}
 
 /// Ignores SIGPIPE for the coordinator's lifetime (writes to a dead
 /// worker must surface as EPIPE -> `kUnavailable`, not kill the process),
@@ -188,7 +197,8 @@ Status Coordinator::SpawnWorker(int w) {
   SGNN_RETURN_IF_ERROR(WriteFrame(handle.fd, config, &control_stats_));
   Frame scatter;
   scatter.type = FrameType::kRows;
-  scatter.payload = EncodeRows(plan_.owned[static_cast<size_t>(w)], state_);
+  scatter.payload =
+      EncodeBilled(plan_.owned[static_cast<size_t>(w)], state_);
   return WriteFrame(handle.fd, scatter, &scatter_stats_);
 }
 
@@ -200,7 +210,7 @@ Status Coordinator::SendEpochInputs(int w, int epoch) {
     Frame halo;
     halo.type = FrameType::kHalo;
     halo.epoch = static_cast<uint32_t>(epoch);
-    halo.payload = EncodeRows(plan_.need[static_cast<size_t>(w)], state_);
+    halo.payload = EncodeBilled(plan_.need[static_cast<size_t>(w)], state_);
     SGNN_RETURN_IF_ERROR(WriteFrame(handle.fd, halo, &halo_stats_));
   }
   Frame go;
@@ -270,8 +280,7 @@ Status Coordinator::CollectWorker(int w, int epoch, tensor::Matrix* next) {
                                       " sent a row it does not own: node " +
                                       std::to_string(id));
             }
-            std::memcpy(next->Row(id).data(), row,
-                        static_cast<size_t>(state_.cols()) * sizeof(float));
+            std::copy_n(row, state_.cols(), next->Row(id).data());
             handle.rows_received += 1;
             return Status::OK();
           });

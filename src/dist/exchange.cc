@@ -1,8 +1,8 @@
 #include "dist/exchange.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/counters.h"
 
@@ -57,54 +57,41 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
   return plan;
 }
 
-std::string EncodeRows(const std::vector<NodeId>& ids,
-                       const tensor::Matrix& src) {
-  const int64_t cols = src.cols();
-  const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
-                                               sizeof(float);
-  std::string payload;
-  payload.resize(sizeof(uint32_t) + ids.size() * record);
-  char* p = payload.data();
-  const uint32_t count = static_cast<uint32_t>(ids.size());
-  std::memcpy(p, &count, sizeof(count));
-  p += sizeof(count);
-  for (const NodeId id : ids) {
-    const uint32_t raw = static_cast<uint32_t>(id);
-    std::memcpy(p, &raw, sizeof(raw));
-    p += sizeof(raw);
-    std::memcpy(p, src.Row(id).data(),
-                static_cast<size_t>(cols) * sizeof(float));
-    p += static_cast<size_t>(cols) * sizeof(float);
+std::string EncodeRows(std::span<const NodeId> ids, const tensor::Matrix& src,
+                       int64_t first_row) {
+  const size_t cols = static_cast<size_t>(src.cols());
+  common::ByteWriter w(sizeof(uint32_t) +
+                       ids.size() * (sizeof(uint32_t) + cols * sizeof(float)));
+  w.Pod(static_cast<uint32_t>(ids.size()));
+  for (size_t i = 0; i < ids.size(); ++i) {
+    w.Pod(static_cast<uint32_t>(ids[i]));
+    const int64_t row =
+        first_row < 0 ? ids[i] : first_row + static_cast<int64_t>(i);
+    w.Array(src.Row(row).data(), cols);
   }
-  common::GlobalCounters().floats_moved +=
-      static_cast<uint64_t>(ids.size()) * static_cast<uint64_t>(cols);
-  return payload;
+  return w.Take();
 }
 
 Status DecodeRows(
     const std::string& payload, int64_t cols,
     const std::function<Status(NodeId, const float*)>& sink) {
-  if (payload.size() < sizeof(uint32_t)) {
+  common::ByteReader in(payload);
+  const uint32_t count = in.Pod<uint32_t>();
+  if (!in.ok()) {
     return Status::DataLoss("row batch smaller than its count field");
   }
-  uint32_t count = 0;
-  std::memcpy(&count, payload.data(), sizeof(count));
-  const size_t record =
-      sizeof(uint32_t) + static_cast<size_t>(cols) * sizeof(float);
-  if (payload.size() != sizeof(uint32_t) + count * record) {
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
+  const size_t record = sizeof(uint32_t) + row_bytes;
+  if (!in.Fits(count, record) || in.left() != count * record) {
     return Status::DataLoss("row batch length does not match its count (" +
                             std::to_string(count) + " rows of " +
                             std::to_string(cols) + " cols in " +
                             std::to_string(payload.size()) + " bytes)");
   }
-  const char* p = payload.data() + sizeof(uint32_t);
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t raw = 0;
-    std::memcpy(&raw, p, sizeof(raw));
-    p += sizeof(raw);
-    SGNN_RETURN_IF_ERROR(
-        sink(static_cast<NodeId>(raw), reinterpret_cast<const float*>(p)));
-    p += static_cast<size_t>(cols) * sizeof(float);
+    const auto id = static_cast<NodeId>(in.Pod<uint32_t>());
+    const char* row = in.Skip(row_bytes);  // Zero-copy view into `payload`.
+    SGNN_RETURN_IF_ERROR(sink(id, reinterpret_cast<const float*>(row)));
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,10 +37,13 @@ HaloPlan BuildHaloPlan(const graph::CsrGraph& graph,
 
 /// Row-batch payload codec, shared by scatter, halo, and gather frames:
 /// `u32 count`, then `count` records of `u32 node id` + `cols` raw floats.
-/// Floats travel as raw bits, which is what makes a respawned worker's
-/// recomputation bit-identical to the original.
-std::string EncodeRows(const std::vector<graph::NodeId>& ids,
-                       const tensor::Matrix& src);
+/// Record i carries `ids[i]` and row `first_row + i` of `src` (a worker's
+/// local rows), or row `ids[i]` when `first_row` is negative (a matrix
+/// indexed by global id, like the coordinator's state). Floats travel as
+/// raw bits, which is what makes a respawned worker's recomputation
+/// bit-identical to the original.
+std::string EncodeRows(std::span<const graph::NodeId> ids,
+                       const tensor::Matrix& src, int64_t first_row = -1);
 
 /// Decodes a row batch, invoking `sink(id, row)` per record with `row`
 /// pointing at `cols` floats. Framing errors are `kDataLoss`; a non-OK

@@ -3,10 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
+#include <span>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/counters.h"
 #include "dist/exchange.h"
@@ -19,96 +19,39 @@ using common::Status;
 using common::StatusOr;
 using graph::NodeId;
 
-namespace {
-
-// Same append/cursor serialisation idiom as storage/format.cc: PODs and
-// POD vectors into a growable buffer, read back bounds-checked so a short
-// payload is a framing error, never UB. (The frame CRC already catches
-// corruption; the cursor catches logic/version mismatches.)
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-void PutVec(std::string* buf, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutPod<uint64_t>(buf, v.size());
-  buf->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-
-  template <typename T>
-  void Vec(std::vector<T>* out) {
-    const uint64_t n = Pod<uint64_t>();
-    if (!ok || n * sizeof(T) > left) {
-      ok = false;
-      return;
-    }
-    out->resize(n);
-    Take(out->data(), n * sizeof(T));
-  }
-};
-
-}  // namespace
-
 std::string WorkerSpec::Serialize() const {
-  std::string buf;
-  PutPod<int32_t>(&buf, worker_id);
-  PutPod<int32_t>(&buf, num_workers);
-  PutPod<int32_t>(&buf, incarnation);
-  PutPod<int32_t>(&buf, rows_per_frame);
-  PutPod<int64_t>(&buf, cols);
-  PutPod<int64_t>(&buf, read_deadline_micros);
-  PutVec(&buf, owned);
-  PutVec(&buf, halo);
-  PutVec(&buf, offsets);
-  PutVec(&buf, neighbors);
-  PutVec(&buf, coefficients);
-  PutVec(&buf, self_loop);
-  return buf;
+  common::ByteWriter w;
+  w.Pod<int32_t>(worker_id);
+  w.Pod<int32_t>(num_workers);
+  w.Pod<int32_t>(incarnation);
+  w.Pod<int32_t>(rows_per_frame);
+  w.Pod<int64_t>(cols);
+  w.Pod<int64_t>(read_deadline_micros);
+  w.Vec64(owned);
+  w.Vec64(halo);
+  w.Vec64(offsets);
+  w.Vec64(neighbors);
+  w.Vec64(coefficients);
+  w.Vec64(self_loop);
+  return w.Take();
 }
 
 StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
-  Cursor cur{payload.data(), payload.size()};
+  common::ByteReader in(payload);
   WorkerSpec spec;
-  spec.worker_id = cur.Pod<int32_t>();
-  spec.num_workers = cur.Pod<int32_t>();
-  spec.incarnation = cur.Pod<int32_t>();
-  spec.rows_per_frame = cur.Pod<int32_t>();
-  spec.cols = cur.Pod<int64_t>();
-  spec.read_deadline_micros = cur.Pod<int64_t>();
-  cur.Vec(&spec.owned);
-  cur.Vec(&spec.halo);
-  cur.Vec(&spec.offsets);
-  cur.Vec(&spec.neighbors);
-  cur.Vec(&spec.coefficients);
-  cur.Vec(&spec.self_loop);
-  if (!cur.ok || cur.left != 0) {
+  spec.worker_id = in.Pod<int32_t>();
+  spec.num_workers = in.Pod<int32_t>();
+  spec.incarnation = in.Pod<int32_t>();
+  spec.rows_per_frame = in.Pod<int32_t>();
+  spec.cols = in.Pod<int64_t>();
+  spec.read_deadline_micros = in.Pod<int64_t>();
+  in.Vec64(&spec.owned);
+  in.Vec64(&spec.halo);
+  in.Vec64(&spec.offsets);
+  in.Vec64(&spec.neighbors);
+  in.Vec64(&spec.coefficients);
+  in.Vec64(&spec.self_loop);
+  if (!in.ok() || in.left() != 0) {
     return Status::DataLoss("truncated or oversized worker spec");
   }
   if (spec.worker_id < 0 || spec.num_workers <= 0 ||
@@ -144,30 +87,6 @@ struct WorkerState {
     return it->second;
   }
 };
-
-/// Encodes rows [begin, begin+count) of `state.out` as a row-batch
-/// payload keyed by their global ids (matches `DecodeRows`).
-std::string EncodeOutChunk(const WorkerState& state, size_t begin,
-                           size_t count) {
-  const int64_t cols = state.spec.cols;
-  const size_t record = sizeof(uint32_t) + static_cast<size_t>(cols) *
-                                               sizeof(float);
-  std::string payload;
-  payload.resize(sizeof(uint32_t) + count * record);
-  char* p = payload.data();
-  const uint32_t n = static_cast<uint32_t>(count);
-  std::memcpy(p, &n, sizeof(n));
-  p += sizeof(n);
-  for (size_t i = begin; i < begin + count; ++i) {
-    const uint32_t raw = static_cast<uint32_t>(state.spec.owned[i]);
-    std::memcpy(p, &raw, sizeof(raw));
-    p += sizeof(raw);
-    std::memcpy(p, state.out.Row(static_cast<int64_t>(i)).data(),
-                static_cast<size_t>(cols) * sizeof(float));
-    p += static_cast<size_t>(cols) * sizeof(float);
-  }
-  return payload;
-}
 
 /// One epoch of local aggregation: the exact per-row loop of
 /// `Propagator::Apply` (same accumulation order, same float coefficients,
@@ -215,8 +134,7 @@ Status StoreRows(WorkerState* state, const std::string& payload) {
           return Status::DataLoss("row for node " + std::to_string(id) +
                                   " not owned or haloed here");
         }
-        std::memcpy(state->local.Row(slot).data(), row,
-                    static_cast<size_t>(state->spec.cols) * sizeof(float));
+        std::copy_n(row, state->spec.cols, state->local.Row(slot).data());
         return Status::OK();
       });
 }
@@ -297,15 +215,13 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
           Frame rows;
           rows.type = FrameType::kRows;
           rows.epoch = frame.epoch;
-          rows.payload = EncodeOutChunk(state, begin, count);
+          rows.payload = EncodeRows(
+              std::span(state.spec.owned).subspan(begin, count), state.out,
+              static_cast<int64_t>(begin));
           if (!WriteFrame(fd, rows, nullptr, send_faults).ok()) _exit(4);
         }
         // Adopt the new values for the next epoch before reporting done.
-        for (size_t i = 0; i < total; ++i) {
-          std::memcpy(state.local.Row(static_cast<int64_t>(i)).data(),
-                      state.out.Row(static_cast<int64_t>(i)).data(),
-                      static_cast<size_t>(state.spec.cols) * sizeof(float));
-        }
+        std::copy_n(state.out.data(), state.out.size(), state.local.data());
         Frame done;
         done.type = FrameType::kEpochDone;
         done.epoch = frame.epoch;

@@ -4,16 +4,18 @@
 #include <charconv>
 #include <cstdio>
 
+#include "obs/trace.h"
+
 namespace sgnn::net {
 
 namespace {
 
-/// Cursor over the request-body subset: a single flat object whose values
+/// Scanner over the request-body subset: a single flat object whose values
 /// are strings or integers. Hand-rolled on purpose — no dependency, and
 /// small enough to reason about every byte.
-class JsonCursor {
+class JsonScanner {
  public:
-  explicit JsonCursor(std::string_view s) : s_(s) {}
+  explicit JsonScanner(std::string_view s) : s_(s) {}
 
   void SkipWs() {
     while (pos_ < s_.size() &&
@@ -91,7 +93,7 @@ class JsonCursor {
 }  // namespace
 
 common::StatusOr<InferRequestBody> ParseInferRequest(std::string_view json) {
-  JsonCursor cur(json);
+  JsonScanner cur(json);
   if (!cur.Consume('{')) {
     return common::Status::InvalidArgument("request body must be a JSON object");
   }
@@ -167,41 +169,17 @@ int HttpStatusForCode(common::StatusCode code) {
   }
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderInferResponse(const serve::InferenceResponse& response) {
   if (!response.status.ok()) {
     std::string out = "{\"status\":\"";
     out += StatusCodeJsonName(response.status.code());
     out += "\",\"node\":" + std::to_string(response.node);
-    out += ",\"error\":\"" + JsonEscape(response.status.message()) + "\"}";
+    out += ",\"error\":\"" + obs::JsonEscape(response.status.message()) + "\"}";
     return out;
   }
   std::string out = "{\"status\":\"ok\",\"node\":" +
                     std::to_string(response.node);
-  out += ",\"tenant\":\"" + JsonEscape(response.tenant_id) + "\"";
+  out += ",\"tenant\":\"" + obs::JsonEscape(response.tenant_id) + "\"";
   out += ",\"predicted_class\":" + std::to_string(response.predicted_class);
   out += response.cache_hit ? ",\"cache_hit\":true" : ",\"cache_hit\":false";
   out += response.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
@@ -220,7 +198,7 @@ std::string RenderInferResponse(const serve::InferenceResponse& response) {
 std::string RenderError(const common::Status& status) {
   std::string out = "{\"status\":\"";
   out += StatusCodeJsonName(status.code());
-  out += "\",\"error\":\"" + JsonEscape(status.message()) + "\"}";
+  out += "\",\"error\":\"" + obs::JsonEscape(status.message()) + "\"}";
   return out;
 }
 

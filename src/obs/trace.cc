@@ -1,30 +1,35 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/check.h"
 
 namespace sgnn::obs {
 
-namespace {
-
-/// JSON string escaping for span names/categories (control characters do
-/// not appear in practice; quotes and backslashes must not break the doc).
-std::string Escape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
     }
-    out.push_back(c);
   }
   return out;
 }
-
-}  // namespace
 
 TraceSpan::TraceSpan(Tracer* tracer, std::string name, std::string category)
     : tracer_(tracer), name_(std::move(name)), category_(std::move(category)) {
@@ -120,8 +125,8 @@ std::string Tracer::ChromeTraceJson() const {
   for (const TraceEvent& event : events) {
     if (!first) out.push_back(',');
     first = false;
-    out += "\n{\"name\":\"" + Escape(event.name) + "\",\"cat\":\"" +
-           Escape(event.category.empty() ? "default" : event.category) +
+    out += "\n{\"name\":\"" + JsonEscape(event.name) + "\",\"cat\":\"" +
+           JsonEscape(event.category.empty() ? "default" : event.category) +
            "\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
            std::to_string(event.track) +
            ",\"ts\":" + std::to_string(event.begin_tick) +

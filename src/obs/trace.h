@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -118,6 +119,11 @@ inline TraceSpan StartSpan(Tracer* tracer, std::string name,
   if (tracer == nullptr) return TraceSpan();
   return tracer->Span(std::move(name), std::move(category));
 }
+
+/// Escapes `s` for a JSON string literal: quotes, backslash, and every
+/// control character (`\n`, `\r`, `\t`, else `\u00XX`). The one JSON
+/// escaper, shared by the trace export and `sgnn::net`'s HTTP bodies.
+std::string JsonEscape(std::string_view s);
 
 }  // namespace sgnn::obs
 

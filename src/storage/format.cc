@@ -2,56 +2,19 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <type_traits>
+#include <string_view>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace sgnn::storage {
 
+using common::ByteReader;
+using common::ByteWriter;
 using common::Status;
 using common::StatusOr;
 
 namespace {
-
-// ---- little serialisation helpers over a growable byte buffer ----------
-// (same idiom as core/checkpoint.cc: append PODs, read back through a
-// bounds-checked cursor so truncation is a framing error, never UB).
-
-void PutBytes(std::string* buf, const void* data, size_t n) {
-  buf->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void PutPod(std::string* buf, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  PutBytes(buf, &v, sizeof(v));
-}
-
-struct Cursor {
-  const char* p;
-  size_t left;
-  bool ok = true;
-
-  bool Take(void* out, size_t n) {
-    if (!ok || n > left) {
-      ok = false;
-      return false;
-    }
-    std::memcpy(out, p, n);
-    p += n;
-    left -= n;
-    return true;
-  }
-
-  template <typename T>
-  T Pod() {
-    T v{};
-    Take(&v, sizeof(v));
-    return v;
-  }
-};
 
 constexpr uint64_t PadTo8(uint64_t n) { return (n + 7) & ~uint64_t{7}; }
 
@@ -59,16 +22,6 @@ Status Corrupt(const std::string& where, const std::string& why) {
   // kDataLoss rather than kIOError: the read itself worked, but the bytes
   // fail integrity checks — a torn write or bit rot, not a device error.
   return Status::DataLoss("corrupt shard data " + where + ": " + why);
-}
-
-/// Reads a whole file; `kNotFound` when it does not exist.
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no such file: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return bytes;
 }
 
 }  // namespace
@@ -96,26 +49,24 @@ std::string ShardPath(const std::string& dir, int shard) {
 }
 
 std::string SerializeManifest(const ShardManifest& manifest) {
-  std::string buf;
-  PutBytes(&buf, kManifestMagic, sizeof(kManifestMagic));
-  PutPod<uint32_t>(&buf, manifest.version);
-  PutPod<uint32_t>(&buf, static_cast<uint32_t>(manifest.shards.size()));
-  PutPod<uint32_t>(&buf, manifest.num_nodes);
-  PutPod<uint64_t>(&buf, manifest.num_edges);
+  ByteWriter w;
+  w.Bytes(kManifestMagic, sizeof(kManifestMagic));
+  w.Pod<uint32_t>(manifest.version);
+  w.Pod(static_cast<uint32_t>(manifest.shards.size()));
+  w.Pod<uint32_t>(manifest.num_nodes);
+  w.Pod<uint64_t>(manifest.num_edges);
   for (const ShardEntry& entry : manifest.shards) {
-    PutPod<uint32_t>(&buf, entry.num_rows);
-    PutPod<uint32_t>(&buf, entry.min_node);
-    PutPod<uint32_t>(&buf, entry.max_node);
-    PutPod<uint64_t>(&buf, entry.num_edges);
-    PutPod<uint64_t>(&buf, entry.file_bytes);
+    w.Pod<uint32_t>(entry.num_rows);
+    w.Pod<uint32_t>(entry.min_node);
+    w.Pod<uint32_t>(entry.max_node);
+    w.Pod<uint64_t>(entry.num_edges);
+    w.Pod<uint64_t>(entry.file_bytes);
   }
-  const size_t assignment_bytes =
-      manifest.shard_of.size() * sizeof(uint32_t);
-  PutPod<uint32_t>(&buf,
-                   common::Crc32(manifest.shard_of.data(), assignment_bytes));
-  PutBytes(&buf, manifest.shard_of.data(), assignment_bytes);
-  PutPod<uint32_t>(&buf, common::Crc32(buf.data(), buf.size()));
-  return buf;
+  w.Pod(common::Crc32(manifest.shard_of.data(),
+                      manifest.shard_of.size() * sizeof(uint32_t)));
+  w.Array(manifest.shard_of.data(), manifest.shard_of.size());
+  w.CrcTrailer();
+  return w.Take();
 }
 
 std::string SerializeShard(const ShardData& shard) {
@@ -123,89 +74,74 @@ std::string SerializeShard(const ShardData& shard) {
   const uint64_t num_edges = shard.neighbors.size();
   const ShardLayout layout = LayoutFor(num_rows, num_edges);
 
-  std::string buf;
-  buf.reserve(layout.file_bytes);
-  PutBytes(&buf, kShardMagic, sizeof(kShardMagic));
-  PutPod<uint32_t>(&buf, kFormatVersion);
-  PutPod<uint32_t>(&buf, shard.shard_id);
-  PutPod<uint32_t>(&buf, static_cast<uint32_t>(num_rows));
-  PutPod<uint32_t>(&buf, common::Crc32(shard.rows.data(),
-                                       num_rows * sizeof(uint32_t)));
-  PutPod<uint64_t>(&buf, num_edges);
-  PutPod<uint32_t>(&buf, common::Crc32(shard.offsets.data(),
-                                       (num_rows + 1) * sizeof(uint64_t)));
-  PutPod<uint32_t>(&buf, common::Crc32(shard.neighbors.data(),
-                                       num_edges * sizeof(uint32_t)));
-  PutPod<uint32_t>(&buf, common::Crc32(shard.weights.data(),
-                                       num_edges * sizeof(float)));
-  PutPod<uint32_t>(&buf, common::Crc32(buf.data(), buf.size()));
+  ByteWriter w(layout.file_bytes);
+  w.Bytes(kShardMagic, sizeof(kShardMagic));
+  w.Pod<uint32_t>(kFormatVersion);
+  w.Pod<uint32_t>(shard.shard_id);
+  w.Pod(static_cast<uint32_t>(num_rows));
+  w.Pod(common::Crc32(shard.rows.data(), num_rows * sizeof(uint32_t)));
+  w.Pod<uint64_t>(num_edges);
+  w.Pod(common::Crc32(shard.offsets.data(),
+                      (num_rows + 1) * sizeof(uint64_t)));
+  w.Pod(common::Crc32(shard.neighbors.data(), num_edges * sizeof(uint32_t)));
+  w.Pod(common::Crc32(shard.weights.data(), num_edges * sizeof(float)));
+  w.CrcTrailer();  // Header CRC over bytes [0, 44).
 
-  auto put_section = [&buf](const void* data, size_t n, uint64_t end_off) {
-    PutBytes(&buf, data, n);
-    buf.resize(end_off, '\0');  // Zero pad to the next 8-byte boundary.
-  };
-  put_section(shard.rows.data(), num_rows * sizeof(uint32_t),
-              layout.offsets_off);
-  put_section(shard.offsets.data(), (num_rows + 1) * sizeof(uint64_t),
-              layout.neighbors_off);
-  put_section(shard.neighbors.data(), num_edges * sizeof(uint32_t),
-              layout.weights_off);
-  put_section(shard.weights.data(), num_edges * sizeof(float),
-              layout.file_bytes);
-  return buf;
+  // Each section is zero padded to the next 8-byte boundary.
+  w.Array(shard.rows.data(), num_rows);
+  w.PadTo(layout.offsets_off);
+  w.Array(shard.offsets.data(), num_rows + 1);
+  w.PadTo(layout.neighbors_off);
+  w.Array(shard.neighbors.data(), num_edges);
+  w.PadTo(layout.weights_off);
+  w.Array(shard.weights.data(), num_edges);
+  return w.Take();
 }
 
 StatusOr<ShardManifest> ReadManifest(const std::string& path) {
-  auto bytes_or = ReadFileBytes(path);
+  auto bytes_or = common::ReadFile(path);
   if (!bytes_or.ok()) return bytes_or.status();
-  const std::string& bytes = bytes_or.value();
+  const std::string_view bytes = bytes_or.value();
 
   if (bytes.size() < sizeof(kManifestMagic) + sizeof(uint32_t)) {
     return Corrupt(path, "truncated manifest (too small for header)");
   }
-  if (std::memcmp(bytes.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
+  if (bytes.substr(0, sizeof(kManifestMagic)) !=
+      std::string_view(kManifestMagic, sizeof(kManifestMagic))) {
     return Corrupt(path, "bad magic (not a shard manifest)");
   }
-  const size_t payload = bytes.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload, sizeof(stored_crc));
-  if (common::Crc32(bytes.data(), payload) != stored_crc) {
-    return Corrupt(path, "manifest CRC mismatch");
-  }
+  const auto payload = common::StripCrcTrailer(bytes);
+  if (!payload) return Corrupt(path, "manifest CRC mismatch");
 
-  Cursor cur{bytes.data() + sizeof(kManifestMagic),
-             payload - sizeof(kManifestMagic)};
+  ByteReader in(payload->substr(sizeof(kManifestMagic)));
   ShardManifest manifest;
-  manifest.version = cur.Pod<uint32_t>();
-  if (cur.ok && manifest.version != kFormatVersion) {
+  manifest.version = in.Pod<uint32_t>();
+  if (in.ok() && manifest.version != kFormatVersion) {
     return Corrupt(path, "unsupported format version " +
                              std::to_string(manifest.version));
   }
-  const uint32_t num_shards = cur.Pod<uint32_t>();
-  manifest.num_nodes = cur.Pod<uint32_t>();
-  manifest.num_edges = cur.Pod<uint64_t>();
-  if (cur.ok && (num_shards == 0 || num_shards > (1u << 20))) {
+  const uint32_t num_shards = in.Pod<uint32_t>();
+  manifest.num_nodes = in.Pod<uint32_t>();
+  manifest.num_edges = in.Pod<uint64_t>();
+  if (in.ok() && (num_shards == 0 || num_shards > (1u << 20))) {
     return Corrupt(path, "implausible shard count " +
                              std::to_string(num_shards));
   }
-  if (cur.ok) manifest.shards.reserve(num_shards);
-  for (uint32_t s = 0; cur.ok && s < num_shards; ++s) {
+  constexpr size_t kEntryBytes = 3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  if (in.Fits(num_shards, kEntryBytes)) manifest.shards.reserve(num_shards);
+  for (uint32_t s = 0; in.ok() && s < num_shards; ++s) {
     ShardEntry entry;
-    entry.num_rows = cur.Pod<uint32_t>();
-    entry.min_node = cur.Pod<uint32_t>();
-    entry.max_node = cur.Pod<uint32_t>();
-    entry.num_edges = cur.Pod<uint64_t>();
-    entry.file_bytes = cur.Pod<uint64_t>();
+    entry.num_rows = in.Pod<uint32_t>();
+    entry.min_node = in.Pod<uint32_t>();
+    entry.max_node = in.Pod<uint32_t>();
+    entry.num_edges = in.Pod<uint64_t>();
+    entry.file_bytes = in.Pod<uint64_t>();
     manifest.shards.push_back(entry);
   }
-  const uint32_t assignment_crc = cur.Pod<uint32_t>();
-  if (cur.ok) {
-    manifest.shard_of.resize(manifest.num_nodes);
-    cur.Take(manifest.shard_of.data(),
-             manifest.shard_of.size() * sizeof(uint32_t));
-  }
-  if (!cur.ok) return Corrupt(path, "truncated manifest");
-  if (cur.left != 0) return Corrupt(path, "trailing bytes after manifest");
+  const uint32_t assignment_crc = in.Pod<uint32_t>();
+  in.Array(manifest.num_nodes, &manifest.shard_of);
+  if (!in.ok()) return Corrupt(path, "truncated manifest");
+  if (in.left() != 0) return Corrupt(path, "trailing bytes after manifest");
   if (common::Crc32(manifest.shard_of.data(),
                     manifest.shard_of.size() * sizeof(uint32_t)) !=
       assignment_crc) {
@@ -219,29 +155,28 @@ StatusOr<ShardHeader> ParseShardHeader(const void* bytes, uint64_t file_bytes,
   if (file_bytes < kShardHeaderBytes) {
     return Corrupt(where, "truncated shard file (smaller than header)");
   }
-  const char* p = static_cast<const char*>(bytes);
-  if (std::memcmp(p, kShardMagic, sizeof(kShardMagic)) != 0) {
+  const std::string_view header_bytes(static_cast<const char*>(bytes),
+                                      kShardHeaderBytes);
+  if (header_bytes.substr(0, sizeof(kShardMagic)) !=
+      std::string_view(kShardMagic, sizeof(kShardMagic))) {
     return Corrupt(where, "bad magic (not a shard file)");
   }
-  Cursor cur{p + sizeof(kShardMagic),
-             kShardHeaderBytes - sizeof(kShardMagic)};
-  const uint32_t version = cur.Pod<uint32_t>();
-  ShardHeader header;
-  header.shard_id = cur.Pod<uint32_t>();
-  header.num_rows = cur.Pod<uint32_t>();
-  header.crc_rows = cur.Pod<uint32_t>();
-  header.num_edges = cur.Pod<uint64_t>();
-  header.crc_offsets = cur.Pod<uint32_t>();
-  header.crc_neighbors = cur.Pod<uint32_t>();
-  header.crc_weights = cur.Pod<uint32_t>();
-  const uint32_t header_crc = cur.Pod<uint32_t>();
-  if (common::Crc32(p, kShardHeaderBytes - sizeof(uint32_t)) != header_crc) {
-    return Corrupt(where, "shard header CRC mismatch");
-  }
+  const auto fields = common::StripCrcTrailer(header_bytes);
+  if (!fields) return Corrupt(where, "shard header CRC mismatch");
+  ByteReader in(fields->substr(sizeof(kShardMagic)));
+  const uint32_t version = in.Pod<uint32_t>();
   if (version != kFormatVersion) {
     return Corrupt(where,
                    "unsupported format version " + std::to_string(version));
   }
+  ShardHeader header;
+  header.shard_id = in.Pod<uint32_t>();
+  header.num_rows = in.Pod<uint32_t>();
+  header.crc_rows = in.Pod<uint32_t>();
+  header.num_edges = in.Pod<uint64_t>();
+  header.crc_offsets = in.Pod<uint32_t>();
+  header.crc_neighbors = in.Pod<uint32_t>();
+  header.crc_weights = in.Pod<uint32_t>();
   const ShardLayout layout = LayoutFor(header.num_rows, header.num_edges);
   if (layout.file_bytes != file_bytes) {
     return Corrupt(where, "truncated shard file (header implies " +
@@ -283,7 +218,7 @@ Status VerifyShardSections(const void* bytes, const ShardHeader& header,
 }
 
 StatusOr<ShardData> ReadShardFile(const std::string& path) {
-  auto bytes_or = ReadFileBytes(path);
+  auto bytes_or = common::ReadFile(path);
   if (!bytes_or.ok()) return bytes_or.status();
   const std::string& bytes = bytes_or.value();
 
@@ -292,21 +227,19 @@ StatusOr<ShardData> ReadShardFile(const std::string& path) {
   const ShardHeader& header = header_or.value();
   SGNN_RETURN_IF_ERROR(VerifyShardSections(bytes.data(), header, path));
 
+  // ParseShardHeader proved the file is exactly the layout's size, so each
+  // section read below is in bounds.
   const ShardLayout layout = LayoutFor(header.num_rows, header.num_edges);
+  const std::string_view file = bytes;
   ShardData shard;
   shard.shard_id = header.shard_id;
-  shard.rows.resize(header.num_rows);
-  shard.offsets.resize(uint64_t{header.num_rows} + 1);
-  shard.neighbors.resize(header.num_edges);
-  shard.weights.resize(header.num_edges);
-  std::memcpy(shard.rows.data(), bytes.data() + layout.rows_off,
-              shard.rows.size() * sizeof(uint32_t));
-  std::memcpy(shard.offsets.data(), bytes.data() + layout.offsets_off,
-              shard.offsets.size() * sizeof(uint64_t));
-  std::memcpy(shard.neighbors.data(), bytes.data() + layout.neighbors_off,
-              shard.neighbors.size() * sizeof(uint32_t));
-  std::memcpy(shard.weights.data(), bytes.data() + layout.weights_off,
-              shard.weights.size() * sizeof(float));
+  ByteReader(file.substr(layout.rows_off)).Array(header.num_rows, &shard.rows);
+  ByteReader(file.substr(layout.offsets_off))
+      .Array(uint64_t{header.num_rows} + 1, &shard.offsets);
+  ByteReader(file.substr(layout.neighbors_off))
+      .Array(header.num_edges, &shard.neighbors);
+  ByteReader(file.substr(layout.weights_off))
+      .Array(header.num_edges, &shard.weights);
   return shard;
 }
 

@@ -7,11 +7,14 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <random>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/counters.h"
 #include "common/mpmc_queue.h"
@@ -498,6 +501,120 @@ TEST(PosixIoTest, BadDescriptorMapsThroughErrno) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(WriteFull(-1, buf, sizeof(buf)).code(),
             StatusCode::kInvalidArgument);
+}
+
+/// A record mixing every writer shape the formats use.
+std::string MixedRecord() {
+  ByteWriter w;
+  w.Bytes("MAGC", 4);
+  w.Pod<uint32_t>(7);
+  w.Str32("stage:a");
+  w.Vec64(std::vector<float>{0.5f, -1.0f, 3.25f});
+  const uint64_t raw[] = {1, 2};
+  w.Array(raw, 2);
+  w.Pod<double>(2.5);
+  return w.Take();
+}
+
+TEST(ByteCodecTest, MixedRecordRoundTrips) {
+  const std::string bytes = MixedRecord();
+  ByteReader in(bytes);
+  EXPECT_EQ(std::string(in.Skip(4), 4), "MAGC");
+  EXPECT_EQ(in.Pod<uint32_t>(), 7u);
+  EXPECT_EQ(in.Str32(), "stage:a");
+  std::vector<float> floats;
+  in.Vec64(&floats);
+  EXPECT_EQ(floats, (std::vector<float>{0.5f, -1.0f, 3.25f}));
+  std::vector<uint64_t> raw;
+  in.Array(2, &raw);
+  EXPECT_EQ(raw, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(in.Pod<double>(), 2.5);
+  EXPECT_TRUE(in.ok());
+  EXPECT_EQ(in.left(), 0u);
+}
+
+TEST(ByteCodecTest, EveryTruncationPrefixFails) {
+  const std::string bytes = MixedRecord();
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    ByteReader in(std::string_view(bytes).substr(0, keep));
+    in.Skip(4);
+    in.Pod<uint32_t>();
+    in.Str32();
+    std::vector<float> floats;
+    in.Vec64(&floats);
+    std::vector<uint64_t> raw;
+    in.Array(2, &raw);
+    in.Pod<double>();
+    EXPECT_FALSE(in.ok()) << "accepted a " << keep << "-byte prefix";
+  }
+}
+
+TEST(ByteCodecTest, WrappingLengthPrefixIsRejectedBeforeAllocating) {
+  // 2^62 four-byte elements: the byte size 2^64 wraps to 0, which a
+  // `n * sizeof(T) <= left` check would accept.
+  ByteWriter w;
+  w.Pod<uint64_t>(uint64_t{1} << 62);
+  w.Pod<uint64_t>(0);
+  const std::string bytes = w.Take();
+  ByteReader in(bytes);
+  std::vector<uint32_t> out;
+  in.Vec64(&out);
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(out.capacity(), 0u);
+
+  ByteReader fits(bytes);
+  EXPECT_TRUE(fits.Fits(4, sizeof(uint32_t)));
+  EXPECT_FALSE(fits.Fits(5, sizeof(uint32_t)));
+  EXPECT_FALSE(fits.Fits(uint64_t{1} << 62, sizeof(uint32_t)));
+
+  ByteWriter s;
+  s.Pod<uint32_t>(0xFFFFFFFFu);  // String length far past the end.
+  const std::string str_bytes = s.Take();
+  ByteReader str_in(str_bytes);
+  EXPECT_EQ(str_in.Str32(), "");
+  EXPECT_FALSE(str_in.ok());
+}
+
+TEST(ByteCodecTest, CrcTrailerRoundTripsAndCatchesEveryBitFlip) {
+  ByteWriter w;
+  w.Bytes("payload", 7);
+  w.Pod<uint64_t>(42);
+  w.CrcTrailer();
+  std::string record = w.Take();
+  const auto payload = StripCrcTrailer(record);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(*payload, std::string_view(record).substr(0, 15));
+
+  for (size_t bit = 0; bit < record.size() * 8; ++bit) {
+    record[bit / 8] = static_cast<char>(record[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_FALSE(StripCrcTrailer(record).has_value()) << "bit " << bit;
+    record[bit / 8] = static_cast<char>(record[bit / 8] ^ (1 << (bit % 8)));
+  }
+  ASSERT_TRUE(StripCrcTrailer(record).has_value());
+  EXPECT_FALSE(StripCrcTrailer(std::string_view(record).substr(0, 3)));
+}
+
+TEST(ByteFileTest, AtomicWriteReplacesAndCleansUpOnFailure) {
+  const std::string dir = ::testing::TempDir() + "/sgnn_bytes_file";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/record.bin";
+  ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "second").ok());
+  auto read = ReadFile(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), "second");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(ReadFile(dir + "/absent.bin").status().code(),
+            StatusCode::kNotFound);
+
+  // Renaming a file over a non-empty directory fails: the error surfaces
+  // and the `.tmp` sibling does not linger.
+  const std::string blocked = dir + "/blocked";
+  std::filesystem::create_directories(blocked + "/child");
+  EXPECT_FALSE(WriteFileAtomic(blocked, "bytes").ok());
+  EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

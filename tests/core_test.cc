@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "core/checkpoint.h"
 #include "core/coarse_flow.h"
@@ -321,6 +322,62 @@ TEST(CheckpointTest, SnapshotRoundTripIsBitIdentical) {
   EXPECT_EQ(got.graph.num_edges(), d.graph.num_edges());
   EXPECT_EQ(got.graph.neighbors(), d.graph.neighbors());
   EXPECT_EQ(got.graph.weights(), d.graph.weights());
+  std::filesystem::remove(path);
+}
+
+/// FNV-1a-64 of `bytes`: a compact pin of an exact on-disk image.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(CheckpointTest, SnapshotBytesArePinned) {
+  // A fixed small snapshot; the file length and hash pin every byte of the
+  // on-disk layout, so a codec change that moves one byte fails here.
+  PipelineSnapshot snap;
+  snap.signature = PipelineSignature({"edit:a", "analytics:b"}, "sgc");
+  snap.stages_done = 1;
+  snap.stages.push_back({"edit:a", 0.75, common::OpCounters{3, 5, 7, 11}});
+  snap.edges_before = 6;
+  snap.feature_cols_before = 3;
+  snap.graph = graph::CsrGraph::FromEdges(
+      3, {{0, 1, 1.0f}, {0, 2, 0.5f}, {1, 0, -2.0f}, {2, 1, 0.25f}});
+  snap.features = tensor::Matrix::FromRows(
+      {{1.0f, -2.0f}, {0.5f, 3.25f}, {-0.0f, 7.0f}});
+  const std::string path = ::testing::TempDir() + "/sgnn_snap_pin.bin";
+  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
+  auto bytes = common::ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(bytes.value().size(), 198u);
+  EXPECT_EQ(Fnv1a64(bytes.value()), 14771706277068516658ull);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+TEST(CheckpointTest, WrappingFeatureDimensionsAreIOErrorNotAbort) {
+  // A CRC-valid 76-byte snapshot whose feature header claims 2^62 x 1
+  // floats over an empty tail: rows * cols * 4 wraps to 0, which once
+  // passed the size check and sized a 2^62-row matrix (std::length_error,
+  // abort). A hostile-input regression seed.
+  common::ByteWriter w;
+  w.Bytes("SGNNCKPT", 8);
+  w.Pod<uint32_t>(1);                // version
+  w.Pod<uint64_t>(7);                // signature
+  w.Pod<int32_t>(0);                 // stages_done
+  w.Pod<uint32_t>(0);                // stage count
+  w.Pod<int64_t>(0);                 // edges_before
+  w.Pod<int64_t>(1);                 // feature_cols_before
+  w.Pod<uint32_t>(0);                // num_nodes
+  w.Pod<uint64_t>(0);                // num_edges
+  w.Pod<int64_t>(int64_t{1} << 62);  // feature rows
+  w.Pod<int64_t>(1);                 // feature cols
+  w.CrcTrailer();
+  const std::string path = ::testing::TempDir() + "/sgnn_snap_wrap.bin";
+  ASSERT_TRUE(common::WriteFileAtomic(path, w.Take()).ok());
+  auto loaded = LoadSnapshot(path, 7);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), common::StatusCode::kIOError);
   std::filesystem::remove(path);
 }
 

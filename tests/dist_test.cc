@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/fault.h"
 #include "common/status.h"
 #include "core/distributed_sim.h"
@@ -93,6 +94,59 @@ TEST(WorkerSpecTest, EveryTruncationIsDataLossNeverUB) {
     ASSERT_FALSE(parsed_or.ok()) << "accepted a " << keep << "-byte prefix";
     EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
   }
+}
+
+/// FNV-1a-64 of `bytes`: a compact pin of an exact wire image.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(WireBytesTest, WorkerSpecAndRowBatchArePinned) {
+  // Fixed small inputs; the length and hash pin every byte on the wire, so
+  // a codec change that moves one byte fails here.
+  WorkerSpec spec;
+  spec.worker_id = 1;
+  spec.num_workers = 3;
+  spec.incarnation = 2;
+  spec.rows_per_frame = 64;
+  spec.cols = 2;
+  spec.read_deadline_micros = 1'000'000;
+  spec.owned = {4, 9};
+  spec.halo = {1};
+  spec.offsets = {0, 1, 3};
+  spec.neighbors = {1, 4, 9};
+  spec.coefficients = {0.5f, 0.25f, -0.75f};
+  spec.self_loop = {1.0f, 0.125f};
+  const std::string spec_bytes = spec.Serialize();
+  EXPECT_EQ(spec_bytes.size(), 148u);
+  EXPECT_EQ(Fnv1a64(spec_bytes), 16399171115056139985ull);
+
+  const Matrix src = Matrix::FromRows({{1.0f, -2.0f}, {0.5f, 3.25f},
+                                       {-0.0f, 7.0f}});
+  const std::vector<graph::NodeId> ids = {2, 0};
+  const std::string rows = EncodeRows(ids, src);
+  EXPECT_EQ(rows.size(), 28u);
+  EXPECT_EQ(Fnv1a64(rows), 8670055881155794570ull);
+}
+
+TEST(WorkerSpecTest, WrappingVectorCountIsDataLossNotAbort) {
+  // An `owned` count of 2^62: count * sizeof(NodeId) wraps to 0, which once
+  // passed the bounds check and resized the vector (std::length_error,
+  // abort). A hostile-input regression seed.
+  common::ByteWriter w;
+  w.Pod<int32_t>(0);                   // worker_id
+  w.Pod<int32_t>(1);                   // num_workers
+  w.Pod<int32_t>(0);                   // incarnation
+  w.Pod<int32_t>(256);                 // rows_per_frame
+  w.Pod<int64_t>(1);                   // cols
+  w.Pod<int64_t>(1'000'000);           // read_deadline_micros
+  w.Pod<uint64_t>(uint64_t{1} << 62);  // owned count
+  for (int i = 0; i < 5; ++i) w.Pod<uint64_t>(0);
+  auto parsed_or = WorkerSpec::Parse(w.Take());
+  ASSERT_FALSE(parsed_or.ok());
+  EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(HaloPlanTest, MatchesSimulatedCommunicationVolume) {

@@ -216,6 +216,22 @@ TEST(TracerTest, ChromeTraceJsonMatchesGolden) {
   EXPECT_EQ(tracer.ChromeTraceJson(), expected);
 }
 
+TEST(TracerTest, ChromeTraceEscapesEveryControlCharacter) {
+  // Span names are caller text: a tab, a raw control byte or a quote must
+  // come out escaped, or the export stops being valid JSON.
+  Tracer tracer;
+  { TraceSpan span = tracer.Span("a\tb\x01\"", "c\r"); }
+  const std::string json = tracer.ChromeTraceJson();
+  EXPECT_NE(json.find(R"("name":"a\tb\u0001\"","cat":"c\r")"),
+            std::string::npos)
+      << json;
+  for (const char c : json) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+  }
+}
+
 TEST(TracerTest, NullTracerSpansAreInert) {
   TraceSpan inert = StartSpan(nullptr, "nothing");
   EXPECT_FALSE(inert.active());

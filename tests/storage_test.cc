@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "analysis/validate.h"
+#include "common/bytes.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -23,6 +26,33 @@
 #include "storage/shard_writer.h"
 #include "storage/sharded_graph.h"
 #include "tensor/matrix.h"
+
+// Allocation cap for hostile-input tests: while non-zero, any single
+// operator-new request above it throws std::bad_alloc. A reader that sizes
+// a buffer from an unchecked length field then fails loudly instead of
+// touching gigabytes.
+static std::atomic<size_t> g_allocation_cap{0};
+
+void* operator new(std::size_t n) {
+  const size_t cap = g_allocation_cap.load(std::memory_order_relaxed);
+  if (cap != 0 && n > cap) throw std::bad_alloc();
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+// GCC cannot see that the replaced operator new allocates with malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sgnn::storage {
 namespace {
@@ -113,6 +143,37 @@ TEST(FormatTest, ResidentBudgetPrecedence) {
   unsetenv(kResidentBudgetEnv);
   EXPECT_EQ(ResidentBudgetBytes(0), 0u);
   if (old != nullptr) setenv(kResidentBudgetEnv, saved.c_str(), 1);
+}
+
+/// FNV-1a-64 of `bytes`: a compact pin of an exact on-disk image.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+TEST(FormatTest, SerializedBytesArePinned) {
+  // Fixed small inputs; the length and hash pin every byte of both
+  // layouts, so a codec change that moves one byte fails here.
+  ShardManifest manifest;
+  manifest.num_nodes = 4;
+  manifest.num_edges = 3;
+  manifest.shards = {{2, 0, 1, 3, 88}, {2, 2, 3, 0, 72}};
+  manifest.shard_of = {0, 0, 1, 1};
+  const std::string manifest_bytes = SerializeManifest(manifest);
+  EXPECT_EQ(manifest_bytes.size(), 108u);
+  EXPECT_EQ(Fnv1a64(manifest_bytes), 5254059862441782948ull);
+
+  ShardData shard;
+  shard.shard_id = 1;
+  shard.rows = {0, 3, 5};
+  shard.offsets = {0, 2, 2, 3};
+  shard.neighbors = {3, 5, 0};
+  shard.weights = {0.5f, -1.25f, 2.0f};
+  const std::string shard_bytes = SerializeShard(shard);
+  EXPECT_EQ(shard_bytes.size(), LayoutFor(3, 3).file_bytes);
+  EXPECT_EQ(shard_bytes.size(), 124u);
+  EXPECT_EQ(Fnv1a64(shard_bytes), 1509186080352143227ull);
 }
 
 TEST(WriterTest, RoundTripContiguousPlan) {
@@ -279,6 +340,35 @@ TEST(CorruptionTest, TornManifestIsDataLossAtEveryTruncationPoint) {
   auto open_or = ShardedGraph::Open(dir);
   ASSERT_TRUE(open_or.ok()) << open_or.status().message();
   EXPECT_EQ(open_or.value()->num_nodes(), g.num_nodes());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorruptionTest, HugeNodeCountIsDataLossWithoutAllocating) {
+  // A CRC-valid 64-byte manifest claiming 0xFFFFFFF0 nodes with no
+  // assignment bytes behind it. The count once sized `shard_of` (16 GiB)
+  // before any check; now it is checked against the bytes left. The cap
+  // turns any such allocation into a failure of this test. A hostile-input
+  // regression seed.
+  common::ByteWriter w;
+  w.Bytes(kManifestMagic, sizeof(kManifestMagic));
+  w.Pod<uint32_t>(kFormatVersion);
+  w.Pod<uint32_t>(1);            // num_shards
+  w.Pod<uint32_t>(0xFFFFFFF0u);  // num_nodes
+  w.Pod<uint64_t>(0);            // num_edges
+  const uint32_t entry[7] = {};
+  w.Array(entry, 7);             // one all-zero 28-byte shard entry
+  w.Pod<uint32_t>(0);            // assignment CRC
+  w.CrcTrailer();
+  const std::string dir = NewDir("huge_nodes");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(common::WriteFileAtomic(ManifestPath(dir), w.Take()).ok());
+
+  g_allocation_cap = size_t{1} << 30;
+  auto manifest_or = ReadManifest(ManifestPath(dir));
+  g_allocation_cap = 0;
+  ASSERT_FALSE(manifest_or.ok());
+  EXPECT_EQ(manifest_or.status().code(), common::StatusCode::kDataLoss);
+  ExpectStatusContains(manifest_or.status(), "truncated manifest");
   std::filesystem::remove_all(dir);
 }
 

@@ -11,7 +11,8 @@ Absorbs and supersedes the former tools/lint_determinism.py:
   * confined bans, the inverse: raw I/O only under src/storage/
     (det/raw-io), process/signal syscalls only under src/dist/
     (det/process-syscall), TCP socket/epoll syscalls only under src/net/
-    (det/net-syscall).
+    (det/net-syscall), memcpy only in the byte codec under
+    src/common/bytes (det/byte-codec).
 
 New in sgnn-lint, for deterministic paths under src/:
   * det/unordered-iteration -- range-for over an `unordered_map`/
@@ -94,6 +95,13 @@ RULES = [
         "fallback and silently diverges on older CPUs",
         fixture="det-simd-intrinsics.cc.fixture"),
     registry.Rule(
+        "det/byte-codec",
+        "binary encoding is confined to src/common/bytes: one module decides "
+        "how a POD is laid out and how a bad length is rejected; a memcpy "
+        "elsewhere is a second, unchecked codec (use ByteWriter/ByteReader, "
+        "or std::copy_n for typed copies)",
+        fixture="det-byte-codec.cc.fixture"),
+    registry.Rule(
         "det/unordered-iteration",
         "iterating an unordered container visits hash-table order -- a "
         "function of insertion history and library version; sort the "
@@ -156,6 +164,10 @@ CONFINED_FORBIDDEN = {
          re.compile(r"(?<![_\w])_mm(?:\d+)?_\w+\s*\(")),
         (_R["det/simd-intrinsics"], "__m vector type",
          re.compile(r"(?<![_\w])__m(?:128|256|512)[id]?\b")),
+    ],
+    "src/common/bytes": [
+        (_R["det/byte-codec"], "memcpy(",
+         re.compile(r"(?<![_\w])memcpy\s*\(")),
     ],
     "src/net/": [
         (_R["det/net-syscall"], "socket(",

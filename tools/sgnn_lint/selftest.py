@@ -27,6 +27,7 @@ COUNTER_PATHS = {
     "det/raw-io": "src/storage/fixture.cc",
     "det/process-syscall": "src/dist/fixture.cc",
     "det/net-syscall": "src/net/fixture.cc",
+    "det/byte-codec": "src/common/bytes.cc",
     "det/simd-intrinsics": "src/simd/fixture.cc",
     "det/obs-wallclock": "src/graph/fixture.cc",
     "det/par-raw-thread": "src/graph/fixture.cc",
