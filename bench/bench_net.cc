@@ -341,7 +341,7 @@ int RunSmoke() {
     bool fair = loop.ok;
     bool all_served = loop.ok;
     if (loop.ok) {
-      loop.door.admission().Pause();
+      loop.server.admission().Pause();
       std::map<std::string, HttpClient> clients;
       for (const std::string tenant : {"a", "b", "c"}) {
         auto client_or = HttpClient::Connect("127.0.0.1", loop.door.port());
@@ -361,9 +361,9 @@ int RunSmoke() {
         }
       }
       fair = fair && WaitFor([&loop] {
-               return loop.door.admission().TotalQueued() == 60;
+               return loop.server.admission().TotalQueued() == 60;
              });
-      loop.door.admission().Resume();
+      loop.server.admission().Resume();
       for (auto& [tenant, client] : clients) {
         for (int i = 0; i < 20; ++i) {
           auto response = client.ReadResponse();
@@ -372,7 +372,8 @@ int RunSmoke() {
         }
       }
       std::map<std::string, int> first35;
-      const std::vector<std::string> log = loop.door.admission().DispatchLog();
+      const std::vector<std::string> log =
+          loop.server.admission().DispatchLog();
       for (size_t i = 0; i < log.size() && i < 35; ++i) ++first35[log[i]];
       fair = fair && first35["a"] == 5 && first35["b"] == 10 &&
              first35["c"] == 20;

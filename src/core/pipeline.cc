@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/par.h"
-#include "simd/simd.h"
 
 namespace sgnn::core {
 
@@ -103,12 +102,10 @@ PipelineReport Pipeline::Run(const Dataset& dataset,
   // reproducible regardless of what ran on this thread before — the
   // property the byte-identical deterministic exports pin.
   common::GlobalCounters().RebasePeaks();
-  // Parallel substrate: apply the requested worker count, optionally
-  // mirror the run's tracer into par, and export the run's section/shard
-  // deltas on exit. Sections and shards are pure functions of the workload
-  // (deterministic gauges); the worker count is configuration (volatile).
-  if (ctx.num_threads > 0) par::SetThreads(ctx.num_threads);
-  if (ctx.simd != 0) simd::SetEnabled(ctx.simd > 0);
+  // Parallel substrate: optionally mirror the run's tracer into par, and
+  // export the run's section/shard deltas on exit. Sections and shards are
+  // pure functions of the workload (deterministic gauges); the worker count
+  // is configuration (volatile).
   obs::Tracer* prev_par_tracer =
       (ctx.trace_parallel && ctx.tracer != nullptr) ? par::SetTracer(ctx.tracer)
                                                     : nullptr;

@@ -11,6 +11,30 @@ namespace sgnn::serve {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+
+/// The queue's policy until a front door installs one: every tenant may
+/// fill the whole queue, so in-process callers see the one bound
+/// `queue_capacity`.
+AdmissionConfig SingleBound(size_t capacity) {
+  AdmissionConfig config;
+  config.per_tenant_capacity = capacity;
+  return config;
+}
+
+/// A response addressed to `pending`, its latency read off `clock`.
+InferenceResponse ResponseFor(PendingRequest* pending,
+                              common::TickClock* clock) {
+  InferenceResponse response;
+  response.node = pending->request.node;
+  response.tenant_id = std::move(pending->request.tenant_id);
+  response.latency_ticks =
+      static_cast<int64_t>(clock->Next() - pending->enqueue_tick);
+  return response;
+}
+
+}  // namespace
+
 BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
                                graph::NodeId num_nodes,
                                const ServeConfig& config,
@@ -19,7 +43,7 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
       model_(std::move(model)),
       embed_fn_(std::move(embed_fn)),
       num_nodes_(num_nodes),
-      queue_(config.queue_capacity),
+      admission_(SingleBound(config.queue_capacity), config.queue_capacity),
       pool_(std::make_unique<common::ThreadPool>(config.num_workers)),
       cache_(num_nodes, model_.in_dim()),
       tracer_(ctx.tracer),
@@ -57,16 +81,14 @@ common::Status BatchingServer::Submit(
   const int64_t deadline_micros = inference_request.deadline_micros > 0
                                       ? inference_request.deadline_micros
                                       : config_.deadline_micros;
-  Request request;
-  request.node = node;
-  request.tenant_id = inference_request.tenant_id;
-  request.stale_only = inference_request.stale_only;
-  request.enqueue_tick = latency_clock_.Next();
-  request.deadline = deadline_micros > 0
+  PendingRequest pending;
+  pending.request = inference_request;
+  pending.enqueue_tick = latency_clock_.Next();
+  pending.deadline = deadline_micros > 0
                          ? common::Deadline::After(deadline_micros)
                          : common::Deadline::Infinite();
-  request.done = std::move(done);
-  common::Status status = queue_.TryPush(std::move(request));
+  pending.done = std::move(done);
+  common::Status status = admission_.Offer(std::move(pending));
   if (status.code() == common::StatusCode::kUnavailable) {
     metrics_.RecordRejected();
   }
@@ -145,40 +167,60 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
 void BatchingServer::Shutdown() {
   bool expected = false;
   if (!shutdown_.compare_exchange_strong(expected, true)) return;
-  queue_.Close();
+  admission_.Close();
   if (batcher_.joinable()) batcher_.join();
   pool_->Shutdown();  // Drains submitted batches before joining.
 }
 
 void BatchingServer::BatcherLoop() {
   const auto max_delay = std::chrono::microseconds(config_.max_delay_micros);
-  const auto idle_poll = std::chrono::milliseconds(5);
+  constexpr int64_t kIdlePollMicros = 5000;
   for (;;) {
-    Request first;
-    if (!queue_.WaitPop(&first, idle_poll)) {
+    PendingRequest next;
+    if (!admission_.Pop(&next, kIdlePollMicros)) {
       // Timeout, or closed-and-drained: only the latter ends the loop (no
-      // new item can arrive after Close, so this is a stable condition).
-      if (queue_.closed() && queue_.size() == 0) return;
+      // new request can arrive after Close, so this is a stable condition).
+      if (admission_.Drained()) return;
       continue;
     }
-    auto batch = std::make_shared<std::vector<Request>>();
-    batch->push_back(std::move(first));
-    const auto deadline = Clock::now() + max_delay;
+    auto batch = std::make_shared<std::vector<PendingRequest>>();
+    batch->push_back(std::move(next));
+    const auto flush_at = Clock::now() + max_delay;
     while (static_cast<int>(batch->size()) < config_.max_batch) {
       const auto now = Clock::now();
-      if (now >= deadline) break;
-      Request next;
-      if (!queue_.WaitPop(&next, deadline - now)) break;
+      if (now >= flush_at) break;
+      const auto wait =
+          std::chrono::duration_cast<std::chrono::microseconds>(flush_at - now);
+      if (!admission_.Pop(&next, wait.count())) break;
       batch->push_back(std::move(next));
     }
-    metrics_.RecordBatch(batch->size(), queue_.size());
-
     // Admit at most num_workers concurrent batches: while this waits, the
-    // bounded queue fills and Submit starts rejecting — backpressure
-    // reaches the client instead of growing an invisible backlog.
+    // queue fills and Submit starts rejecting — backpressure reaches the
+    // client instead of growing an invisible backlog. Workers only release
+    // slots, so a free one stays free until this thread takes it below.
     {
       common::MutexLock lock(inflight_mu_);
       while (in_flight_ >= config_.num_workers) inflight_cv_.wait(inflight_mu_);
+    }
+    // Deadline check as the batch takes the worker: a request that expired
+    // in admission, while the batch formed or while it waited for the
+    // worker is answered here, on the batcher, and skips all embedding
+    // work.
+    const auto expired = std::stable_partition(
+        batch->begin(), batch->end(),
+        [](const PendingRequest& p) { return !p.deadline.expired(); });
+    for (auto it = expired; it != batch->end(); ++it) {
+      InferenceResponse response = ResponseFor(&*it, &latency_clock_);
+      response.status = common::Status::DeadlineExceeded(
+          "request expired before processing");
+      metrics_.RecordTerminalFailure(response.status.code(), false);
+      it->done(std::move(response));
+    }
+    batch->erase(expired, batch->end());
+    if (batch->empty()) continue;
+    metrics_.RecordBatch(batch->size(), admission_.TotalQueued());
+    {
+      common::MutexLock lock(inflight_mu_);
       ++in_flight_;
     }
     pool_->Submit([this, batch] {
@@ -192,10 +234,11 @@ void BatchingServer::BatcherLoop() {
   }
 }
 
-common::Status BatchingServer::ResolveMiss(graph::NodeId node,
-                                           const common::Deadline& dl,
+common::Status BatchingServer::ResolveMiss(const PendingRequest& pending,
                                            std::span<float> out, int64_t step,
                                            bool* degraded) {
+  const graph::NodeId node = pending.request.node;
+  const common::Deadline& dl = pending.deadline;
   common::Status status;
   bool breaker_fast_fail = false;
   if (!breaker_.Allow()) {
@@ -236,9 +279,11 @@ common::Status BatchingServer::ResolveMiss(graph::NodeId node,
     }
   }
 
-  // Persistent failure: degrade to the stale cache row when allowed —
-  // a slightly old embedding beats an error page.
-  if (config_.degraded_serving) {
+  // Persistent failure, or a stale-tier request the breaker did not pick
+  // as its probe: degrade to the stale cache row when allowed — a
+  // slightly old embedding beats an error page. The stale tier always
+  // allows it.
+  if (config_.degraded_serving || pending.request.stale_only) {
     common::ReaderMutexLock lock(cache_mu_);
     if (cache_.Has(node)) {
       auto row = cache_.Get(node);
@@ -251,7 +296,7 @@ common::Status BatchingServer::ResolveMiss(graph::NodeId node,
   return status;
 }
 
-void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
+void BatchingServer::ProcessBatch(std::vector<PendingRequest>* batch) {
   obs::TraceSpan span = obs::StartSpan(tracer_, "serve.batch", "serve");
   const int64_t step = step_.fetch_add(1, std::memory_order_relaxed);
   const int64_t n = static_cast<int64_t>(batch->size());
@@ -263,16 +308,7 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
   std::vector<common::Status> row_status(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const size_t s = static_cast<size_t>(i);
-    Request& request = (*batch)[s];
-    // Deadline check at dequeue: a request that expired while queued (or
-    // waiting for a worker slot) skips all embedding work.
-    if (request.deadline.expired()) {
-      row_status[s] = common::Status::DeadlineExceeded(
-          "request expired before processing");
-      metrics_.RecordTerminalFailure(row_status[s].code(), false);
-      continue;
-    }
-    const graph::NodeId node = request.node;
+    const graph::NodeId node = (*batch)[s].request.node;
     {
       common::ReaderMutexLock lock(cache_mu_);
       const int64_t staleness = cache_.Staleness(node, step);
@@ -280,28 +316,17 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
         auto row = cache_.Get(node);
         std::copy(row.begin(), row.end(), embeddings.Row(i).begin());
         hit[s] = true;
-      } else if (request.stale_only && staleness >= 0) {
-        // Stale-tier serve: the shed controller asked for the cached row
-        // at any staleness, embedder untouched. Flagged degraded so the
-        // client can tell it got yesterday's embedding.
-        auto row = cache_.Get(node);
-        std::copy(row.begin(), row.end(), embeddings.Row(i).begin());
-        degraded[s] = true;
       }
     }
-    if (!hit[s] && !degraded[s]) {
-      if (request.stale_only) {
-        // Stale-only miss: shedding forbids the embedder and there is no
-        // row to fall back on — reject rather than do exact work.
-        row_status[s] = common::Status::Unavailable(
-            "stale-only request has no cached row");
-        metrics_.RecordTerminalFailure(row_status[s].code(), false);
-      } else {
-        bool row_degraded = false;
-        row_status[s] = ResolveMiss(node, request.deadline, embeddings.Row(i),
-                                    step, &row_degraded);
-        degraded[s] = row_degraded;
-      }
+    if (!hit[s]) {
+      // A stale-tier request goes through the breaker too: denied, it
+      // serves its cached row (flagged degraded, so the client can tell it
+      // got yesterday's embedding); granted, it is the half-open probe
+      // that lets a healed embedder close the breaker.
+      bool row_degraded = false;
+      row_status[s] =
+          ResolveMiss((*batch)[s], embeddings.Row(i), step, &row_degraded);
+      degraded[s] = row_degraded;
     }
   }
 
@@ -312,13 +337,9 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
 
   for (int64_t i = 0; i < n; ++i) {
     const size_t s = static_cast<size_t>(i);
-    Request& request = (*batch)[s];
-    InferenceResponse response;
-    response.node = request.node;
-    response.tenant_id = std::move(request.tenant_id);
-    response.latency_ticks = static_cast<int64_t>(latency_clock_.Next() -
-                                                  request.enqueue_tick);
-    if (row_status[s].ok() && request.deadline.expired()) {
+    PendingRequest& pending = (*batch)[s];
+    InferenceResponse response = ResponseFor(&pending, &latency_clock_);
+    if (row_status[s].ok() && pending.deadline.expired()) {
       // Post-batch check: the result arrived too late to count.
       row_status[s] = common::Status::DeadlineExceeded(
           "request completed after its deadline");
@@ -335,7 +356,7 @@ void BatchingServer::ProcessBatch(std::vector<Request>* batch) {
       metrics_.RecordRequest(response.latency_ticks, response.cache_hit,
                              response.degraded);
     }
-    request.done(std::move(response));
+    pending.done(std::move(response));
   }
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/mpmc_queue.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
@@ -21,6 +20,7 @@
 #include "graph/types.h"
 #include "obs/trace.h"
 #include "sampling/historical_cache.h"
+#include "serve/admission.h"
 #include "serve/frozen_model.h"
 #include "serve/metrics.h"
 #include "tensor/matrix.h"
@@ -34,8 +34,10 @@ struct ServeConfig {
   /// ...or once the oldest request in the forming batch has waited this
   /// long, whichever comes first.
   int64_t max_delay_micros = 1000;
-  /// Admission-queue bound; submissions beyond it are rejected with
-  /// `kUnavailable` (backpressure) instead of blocking.
+  /// Bound on requests queued across all tenants; submissions beyond it
+  /// are rejected with `kUnavailable` (backpressure) instead of blocking.
+  /// Until `admission().Configure` installs a per-tenant bound, it is
+  /// also the bound of each tenant's FIFO.
   size_t queue_capacity = 1024;
   /// Threads executing batches. In-flight batches are capped at this
   /// number, so pressure propagates back to the admission queue.
@@ -47,10 +49,11 @@ struct ServeConfig {
   int64_t max_staleness = std::numeric_limits<int64_t>::max();
   /// Write freshly computed embeddings back into the cache.
   bool update_cache = true;
-  /// Per-request time budget from enqueue, in microseconds; 0 = none.
-  /// Checked when a worker dequeues the request (expired requests skip all
-  /// embedding work) and again after the batch forward (late results are
-  /// not delivered as successes). Both resolve to `kDeadlineExceeded`.
+  /// Per-request time budget from `Submit`, in microseconds; 0 = none.
+  /// Checked when the batcher hands the batch to a worker (expired
+  /// requests are answered there and skip all embedding work) and again
+  /// after the batch forward (late results are not delivered as
+  /// successes). Both resolve to `kDeadlineExceeded`.
   int64_t deadline_micros = 0;
   /// Transient embedder failures (`kUnavailable`/`kAborted`) are retried
   /// under this policy; the backoff never sleeps past the request deadline.
@@ -65,52 +68,6 @@ struct ServeConfig {
   common::CircuitBreaker::Config breaker;
 };
 
-/// One classification request: the single admission currency of the
-/// serving tier. The in-process `BatchingServer::Submit` path, the
-/// admission stage (`serve::AdmissionQueue`), and the HTTP front door
-/// (`sgnn::net`) all build exactly this struct, so quotas, fair
-/// scheduling, and shedding reason about one shape.
-struct InferenceRequest {
-  InferenceRequest() = default;
-  /// Bare single-node request: default tenant, inherited deadline.
-  explicit InferenceRequest(graph::NodeId node_in) : node(node_in) {}
-
-  graph::NodeId node = 0;
-  /// Tenant the request bills to; per-tenant quotas and weighted-fair
-  /// dequeue key on it. Empty = the anonymous default tenant. The server
-  /// itself only echoes it into the response.
-  std::string tenant_id;
-  /// Per-request time budget in microseconds from submission; 0 = inherit
-  /// `ServeConfig::deadline_micros`.
-  int64_t deadline_micros = 0;
-  /// Degraded-tier request (set by the load shedder's stale tier): serve
-  /// the node's cached row at *any* staleness and never call the embedder;
-  /// resolves `kUnavailable` when no cached row exists.
-  bool stale_only = false;
-};
-
-/// Answer to a single-node classification request. Every admitted request
-/// receives exactly one response; `status` says whether `logits` is
-/// meaningful. Terminal statuses: OK (fresh or degraded serve),
-/// `kDeadlineExceeded` (time budget blown), `kUnavailable` (breaker open /
-/// embedder down with no fallback row / stale-only miss), or the
-/// embedder's own permanent error.
-struct InferenceResponse {
-  common::Status status;
-  graph::NodeId node = 0;
-  std::string tenant_id;            ///< Echoed from the request.
-  std::vector<float> logits;        ///< Empty unless `status.ok()`.
-  int predicted_class = 0;
-  bool cache_hit = false;           ///< Embedding came from the cache fresh.
-  bool degraded = false;            ///< Served from a stale cache row after
-                                    ///< the fresh path failed, or because
-                                    ///< the request was stale-only.
-  /// Enqueue-to-fulfilment latency in logical ticks of the server's
-  /// `common::TickClock` (one tick per admission/fulfilment event, no wall
-  /// time), so the serve latency series honour the obs determinism tags.
-  int64_t latency_ticks = 0;
-};
-
 /// Computes a node's embedding into the provided row buffer, or returns
 /// why it could not (`kUnavailable`/`kAborted` are treated as transient
 /// and retried; other codes are permanent). Must be thread-safe; called
@@ -119,14 +76,16 @@ using EmbeddingFn =
     std::function<common::Status(graph::NodeId, std::span<float>)>;
 
 /// Online inference server: clients submit single-node classification
-/// requests; a batcher thread coalesces them into dynamic micro-batches
-/// (flush on `max_batch` or `max_delay_micros`); worker threads resolve
-/// each batch by consulting the shared `HistoricalEmbeddingCache` first —
-/// hits skip feature gathering and propagation entirely — computing misses
-/// via the `EmbeddingFn`, and running the frozen head once per batch.
+/// requests into the server's one queue, the multi-tenant
+/// `AdmissionQueue`; a batcher thread pops them deficit-weighted-fair and
+/// coalesces them into dynamic micro-batches (flush on `max_batch` or
+/// `max_delay_micros`); worker threads resolve each batch by consulting
+/// the shared `HistoricalEmbeddingCache` first — hits skip feature
+/// gathering and propagation entirely — computing misses via the
+/// `EmbeddingFn`, and running the frozen head once per batch.
 ///
 /// The first concurrent subsystem in the library: admission is lossy by
-/// design (`kUnavailable` when the bounded queue is full), shutdown drains
+/// design (`kUnavailable` when a queue bound is hit), shutdown drains
 /// (every admitted request is answered), and all shared state is either
 /// immutable (`FrozenModel`), lock-protected (cache, metrics), or
 /// thread-local (work counters).
@@ -135,8 +94,11 @@ using EmbeddingFn =
 /// `InferenceResponse.status` — its callback always runs. Embedder errors
 /// are retried under `ServeConfig::embed_retry`; persistent failures degrade
 /// to a stale cache row (`degraded=true`) when one exists; consecutive
-/// failures trip a `CircuitBreaker` so a dead embedder fast-fails; and
-/// per-request deadlines resolve to `kDeadlineExceeded`. The
+/// failures trip a `CircuitBreaker` so a dead embedder fast-fails, while
+/// stale-only misses still reach it as the half-open probe; and
+/// per-request deadlines, counted from `Submit`, resolve to
+/// `kDeadlineExceeded` — on the batcher, before any embedding work, when
+/// the request expired before its batch reached a worker. The
 /// `ServeHealth` slice of `Metrics()` reports all of it.
 class BatchingServer {
  public:
@@ -162,12 +124,14 @@ class BatchingServer {
   BatchingServer& operator=(const BatchingServer&) = delete;
 
   /// Enqueues a classification request; `done` receives its response
-  /// exactly once, on a batch worker thread with no server lock held.
-  /// Returns OK once admitted, else `kInvalidArgument` (node out of
-  /// range), `kUnavailable` when the server is saturated (backpressure;
-  /// the caller may retry), or `kFailedPrecondition` after shutdown — and
-  /// then `done` is never called. `done` runs on the serving path, so it
-  /// should hand off or finish quickly. Thread-safe.
+  /// exactly once, with no server lock held: on a batch worker thread, or
+  /// on the batcher thread when the request expired before it reached a
+  /// batch. Returns OK once admitted, else `kInvalidArgument` (node out of
+  /// range), `kUnavailable` when a queue bound is hit (backpressure; the
+  /// caller may retry), `kResourceExhausted` when the tenant's token
+  /// bucket is empty, or `kFailedPrecondition` after shutdown — and then
+  /// `done` is never called. `done` runs on the serving path, so it should
+  /// hand off or finish quickly. Thread-safe.
   SGNN_NODISCARD common::Status Submit(
       const InferenceRequest& request,
       std::function<void(InferenceResponse)> done);
@@ -194,6 +158,10 @@ class BatchingServer {
     return breaker_.state();
   }
 
+  /// The server's request queue: a front door installs its tenant policy
+  /// here (`Configure`), reads its fill, and tests pause it.
+  AdmissionQueue& admission() { return admission_; }
+
   /// Stops admissions, flushes every queued request, joins all threads.
   /// Idempotent; also run by the destructor.
   void Shutdown();
@@ -201,21 +169,14 @@ class BatchingServer {
   const ServeConfig& config() const { return config_; }
 
  private:
-  struct Request {
-    graph::NodeId node = 0;
-    std::string tenant_id;
-    bool stale_only = false;
-    std::function<void(InferenceResponse)> done;
-    uint64_t enqueue_tick = 0;  ///< `latency_clock_` tick at admission.
-    common::Deadline deadline;  ///< Infinite when no deadline applies.
-  };
-
   void BatcherLoop();
-  void ProcessBatch(std::vector<Request>* batch);
+  void ProcessBatch(std::vector<PendingRequest>* batch);
   /// Resolves one cache miss: breaker gate, embedder with retry/backoff,
-  /// degraded fallback. Returns OK (row written into `out`; `*degraded`
-  /// set if it came from a stale cache row) or the terminal error.
-  common::Status ResolveMiss(graph::NodeId node, const common::Deadline& dl,
+  /// degraded fallback (always allowed for a stale-only request, whose
+  /// embedder call is only ever the breaker's probe). Returns OK (row
+  /// written into `out`; `*degraded` set if it came from a stale cache
+  /// row) or the terminal error.
+  common::Status ResolveMiss(const PendingRequest& pending,
                              std::span<float> out, int64_t step,
                              bool* degraded) SGNN_EXCLUDES(cache_mu_);
 
@@ -226,7 +187,9 @@ class BatchingServer {
   /// bounds checks need no lock.
   const graph::NodeId num_nodes_;
 
-  common::BoundedMpmcQueue<Request> queue_;
+  // sgnn-lint: allow(lock/unannotated-field): internally synchronized
+  // under the queue's own mutex.
+  AdmissionQueue admission_;
   std::unique_ptr<common::ThreadPool> pool_;
 
   /// Embedding cache shared across worker threads; reads take the shared

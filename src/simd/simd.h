@@ -40,11 +40,10 @@ namespace sgnn::simd {
 ///
 /// Backend selection: the `SGNN_SIMD` environment variable is read once at
 /// first use (`off`/`0`/`false`/`scalar` force the scalar backend; unset or
-/// anything else = auto), and `SetEnabled()` / `core::RunContext::simd`
-/// override it at runtime so tests and CI can prove SIMD output == scalar
-/// output byte for byte. Intrinsics are confined to `src/simd/` by the
-/// `det/simd-intrinsics` lint rule; every other module sees only this
-/// dispatch surface.
+/// anything else = auto), and `SetEnabled()` overrides it at runtime so
+/// tests and CI can prove SIMD output == scalar output byte for byte.
+/// Intrinsics are confined to `src/simd/` by the `det/simd-intrinsics`
+/// lint rule; every other module sees only this dispatch surface.
 
 /// The microkernel table both backends implement. Hot loops hoist
 /// `Active()` once per shard and call through the table, so the per-row

@@ -17,7 +17,6 @@
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/counters.h"
-#include "common/mpmc_queue.h"
 #include "common/posix.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -320,39 +319,6 @@ TEST(CountersTest, ThreadsObservePrivateCounters) {
   worker.join();
   // The worker's increments never show up in this thread's instance.
   EXPECT_EQ(GlobalCounters().edges_touched, main_edges);
-}
-
-TEST(MpmcQueueTest, RejectsWhenFullAcceptsAfterPop) {
-  BoundedMpmcQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1).ok());
-  EXPECT_TRUE(queue.TryPush(2).ok());
-  Status full = queue.TryPush(3);
-  EXPECT_EQ(full.code(), StatusCode::kUnavailable);
-  int out = 0;
-  EXPECT_TRUE(queue.TryPop(&out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.TryPush(3).ok());
-  EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(MpmcQueueTest, CloseRejectsPushesButDrains) {
-  BoundedMpmcQueue<int> queue(4);
-  ASSERT_TRUE(queue.TryPush(7).ok());
-  queue.Close();
-  EXPECT_EQ(queue.TryPush(8).code(), StatusCode::kFailedPrecondition);
-  int out = 0;
-  EXPECT_TRUE(queue.WaitPop(&out, std::chrono::milliseconds(10)));
-  EXPECT_EQ(out, 7);
-  // Closed and drained: WaitPop returns immediately, not after timeout.
-  WallTimer timer;
-  EXPECT_FALSE(queue.WaitPop(&out, std::chrono::seconds(10)));
-  EXPECT_LT(timer.Seconds(), 5.0);
-}
-
-TEST(MpmcQueueTest, WaitPopTimesOutWhenEmpty) {
-  BoundedMpmcQueue<int> queue(1);
-  int out = 0;
-  EXPECT_FALSE(queue.WaitPop(&out, std::chrono::milliseconds(5)));
 }
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {

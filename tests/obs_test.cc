@@ -356,9 +356,9 @@ TEST(RunContextTest, ExportsAreByteIdenticalAcrossThreadCounts) {
     core::RunContext ctx;
     ctx.tracer = &tracer;
     ctx.metrics = &registry;
-    ctx.num_threads = threads;
     ctx.trace_parallel = true;
     core::Dataset d = SmallDataset(13);
+    sgnn::par::SetThreads(threads);
     core::PipelineReport report = MakePipeline().Run(d, FastConfig(), ctx);
     EXPECT_TRUE(report.status.ok());
     return Export{registry.PrometheusText(/*include_volatile=*/false),
@@ -367,7 +367,7 @@ TEST(RunContextTest, ExportsAreByteIdenticalAcrossThreadCounts) {
   };
   const Export one = run_with(1);
   const Export eight = run_with(8);
-  sgnn::par::SetThreads(1);  // ctx.num_threads is process-wide; reset.
+  sgnn::par::SetThreads(1);  // The worker count is process-wide; reset.
   EXPECT_EQ(one.prometheus, eight.prometheus);
   EXPECT_EQ(one.json, eight.json);
   EXPECT_EQ(one.trace, eight.trace);

@@ -40,7 +40,6 @@ RULES = [
 # Types whose instances synchronize themselves; fields of these types need
 # no guard. Keep in sync with the DESIGN.md rule catalog.
 SELF_SYNCHRONIZED = (
-    "BoundedMpmcQueue",
     "ThreadPool",
     "Tracer",
     "MetricsRegistry",
