@@ -7,10 +7,9 @@
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/check.h"
-#include "common/counters.h"
 #include "dist/exchange.h"
 #include "dist/frame.h"
+#include "graph/propagate.h"
 #include "tensor/matrix.h"
 
 namespace sgnn::dist {
@@ -60,7 +59,9 @@ StatusOr<WorkerSpec> WorkerSpec::Parse(const std::string& payload) {
       spec.offsets.size() != spec.owned.size() + 1 ||
       spec.self_loop.size() != spec.owned.size() ||
       spec.coefficients.size() != spec.neighbors.size() ||
-      (!spec.offsets.empty() && spec.offsets.back() != spec.neighbors.size())) {
+      spec.offsets.front() != 0 ||
+      !std::is_sorted(spec.offsets.begin(), spec.offsets.end()) ||
+      spec.offsets.back() != spec.neighbors.size()) {
     return Status::DataLoss("inconsistent worker spec");
   }
   return spec;
@@ -76,6 +77,8 @@ struct WorkerState {
   /// Global node id -> row slot in `local`; linear scan is avoided with a
   /// sorted-merge-friendly map (ids arrive sorted, lookups are random).
   std::vector<std::pair<NodeId, int64_t>> slots;  ///< Sorted by id.
+  /// `spec.neighbors` resolved to their `local` slots at config time.
+  std::vector<NodeId> neighbor_slots;
 
   int64_t SlotOf(NodeId id) const {
     auto it = std::lower_bound(
@@ -88,40 +91,23 @@ struct WorkerState {
   }
 };
 
-/// One epoch of local aggregation: the exact per-row loop of
-/// `Propagator::Apply` (same accumulation order, same float coefficients,
-/// self-loop term last), just indirected through the local slot table.
+/// One epoch of local aggregation: the shared SpMM row kernel over the
+/// spec's CSR, gathering from `local` through the resolved neighbour
+/// slots. Owned row i is local slot i, so output row, self-loop
+/// coefficient and self-loop x row all index by i. Serial on purpose: a
+/// forked child must not enter the parent's `par` pool, whose threads and
+/// mutex state do not survive `fork`. Its counters are this process's
+/// own and vanish at `_exit`.
 void ComputeEpoch(WorkerState* state) {
   const WorkerSpec& spec = state->spec;
-  const int64_t cols = spec.cols;
   state->out.Zero();
-  for (size_t i = 0; i < spec.owned.size(); ++i) {
-    float* orow = state->out.Row(static_cast<int64_t>(i)).data();
-    const uint64_t begin = spec.offsets[i];
-    const uint64_t end = spec.offsets[i + 1];
-    for (uint64_t e = begin; e < end; ++e) {
-      const float c = spec.coefficients[e];
-      if (c == 0.0f) continue;
-      const int64_t slot = state->SlotOf(spec.neighbors[e]);
-      SGNN_CHECK_GE(slot, 0);
-      const float* xrow = state->local.Row(slot).data();
-      for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-    }
-    if (spec.self_loop[i] != 0.0f) {
-      const float c = spec.self_loop[i];
-      const float* xrow = state->local.Row(static_cast<int64_t>(i)).data();
-      for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-    }
-  }
-  // Same billing as Propagator::Apply: every local edge is walked, and one
-  // feature row moves per edge (this worker's own counters; the
-  // coordinator aggregates per-process totals out of band).
-  const uint64_t edges =
-      spec.offsets.empty() ? 0 : spec.offsets[spec.owned.size()] -
-                                     spec.offsets[0];
-  auto& counters = common::GlobalCounters();
-  counters.edges_touched += edges;
-  counters.floats_moved += edges * static_cast<uint64_t>(cols);
+  // Same-width signed view of the offsets (as `PinnedShard` does); `Parse`
+  // has checked that they ascend to `neighbors.size()`.
+  const graph::SpmmRows rows{
+      {reinterpret_cast<const int64_t*>(spec.offsets.data()),
+       spec.offsets.size()},
+      state->neighbor_slots, spec.coefficients, {}, spec.self_loop};
+  rows.Apply(state->local, &state->out);
 }
 
 /// Stores a received row batch (scatter, restore, or halo) into the local
@@ -176,6 +162,16 @@ void WorkerMain(int fd, common::FaultInjector* faults) {
               static_cast<int64_t>(state.spec.owned.size() + i));
         }
         std::sort(state.slots.begin(), state.slots.end());
+        state.neighbor_slots.resize(state.spec.neighbors.size());
+        for (size_t e = 0; e < state.spec.neighbors.size(); ++e) {
+          // sgnn-lint: allow(billing/unbilled-kernel-loop): one-time slot
+          // resolution at config; the epoch's edge work is billed by
+          // `graph::SpmmRows`.
+          const int64_t slot = state.SlotOf(state.spec.neighbors[e]);
+          // A neighbour neither owned nor haloed is a protocol violation.
+          if (slot < 0) _exit(2);
+          state.neighbor_slots[e] = static_cast<NodeId>(slot);
+        }
         configured = true;
         break;
       }

@@ -1,5 +1,6 @@
 #include "graph/propagate.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/counters.h"
@@ -20,31 +21,121 @@ constexpr int64_t kEdgeGrain = 32 * 1024;
 /// blocked schedule walks output rows in panels of ~kSpmmPanelEdges edges
 /// and feature columns in blocks of kSpmmColBlock floats, so each gathered
 /// x-row *slice* is a few cache lines and the panel's hub slices stay
-/// resident across the rows that share them. This is loop blocking only —
-/// per output element the edge accumulation order is unchanged (ascending
-/// edge index, self-loop last), so the result is bit-identical to the
-/// unblocked walk. Engaged only above kSpmmColBlockEngage columns; narrow
-/// rows already fit and the re-scanned coefficient stream would be pure
-/// overhead.
+/// resident across the rows that share them. Engaged only above
+/// kSpmmColBlockEngage columns; narrow rows already fit and the re-scanned
+/// coefficient stream would be pure overhead.
 constexpr int64_t kSpmmColBlock = 64;        ///< Floats per column block.
 constexpr int64_t kSpmmColBlockEngage = 128; ///< Engage when cols exceed.
 constexpr int64_t kSpmmPanelEdges = 4096;    ///< Edge budget per row panel.
 
-/// Edge-balanced row shards over the graph's CSR offsets. Geometry depends
-/// only on the graph, so shard-local work is identical for any worker
-/// count (the par determinism contract).
-std::vector<par::Range> NodeShards(const CsrGraph& graph) {
-  return par::RowRanges(graph.offsets(),
-                        par::ShardsFor(graph.num_edges(), kEdgeGrain));
+double Inv(double d) { return d > 0.0 ? 1.0 / d : 0.0; }
+double InvSqrt(double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; }
+
+/// The SpMM bill: `edges` stored edges scanned (coefficient + index
+/// streams) and `applied` axpy rows of `cols` floats, each reading the
+/// gathered x slice and the output row and writing the output row.
+/// Shared by `SpmmRows` and the transpose scatter.
+void BillSpmm(uint64_t edges, uint64_t applied, int64_t cols) {
+  const uint64_t row_bytes = static_cast<uint64_t>(cols) * sizeof(float);
+  auto& counters = common::GlobalCounters();
+  counters.edges_touched += edges;
+  counters.floats_moved += edges * static_cast<uint64_t>(cols);
+  counters.BillBytes(
+      edges * (sizeof(float) + sizeof(NodeId)) + applied * 2u * row_bytes,
+      applied * row_bytes);
 }
 
 }  // namespace
+
+void NormalizeRow(Normalization norm, std::span<const double> degree,
+                  NodeId u, std::span<const NodeId> nbrs,
+                  std::span<const float> weights, float* out) {
+  for (size_t i = 0; i < nbrs.size(); ++i) {
+    double c = weights[i];
+    switch (norm) {
+      case Normalization::kNone:
+        break;
+      case Normalization::kRow:
+        c *= Inv(degree[u]);
+        break;
+      case Normalization::kColumn:
+        c *= Inv(degree[nbrs[i]]);
+        break;
+      case Normalization::kSymmetric:
+        c *= InvSqrt(degree[u]) * InvSqrt(degree[nbrs[i]]);
+        break;
+    }
+    out[i] = static_cast<float>(c);
+  }
+}
+
+float NormalizeSelfLoop(Normalization norm, double d) {
+  return static_cast<float>(norm == Normalization::kNone ? 1.0 : Inv(d));
+}
+
+std::vector<par::Range> RowShards(std::span<const int64_t> offsets) {
+  return par::RowRanges(offsets, par::ShardsFor(offsets.back(), kEdgeGrain));
+}
+
+void SpmmRows::ApplyRange(const tensor::Matrix& x, tensor::Matrix* out,
+                          par::Range range) const {
+  SGNN_CHECK(out != nullptr);
+  SGNN_CHECK_EQ(out->cols(), x.cols());
+  SGNN_DCHECK_EQ(cols.size(), coeffs.size());
+  SGNN_DCHECK(range.begin >= 0 && range.end <= num_rows());
+  const int64_t ncols = x.cols();
+  const int64_t* off = offsets.data();
+  const NodeId* col = cols.data();
+  const float* coeff = coeffs.data();
+  const float* xs = x.data();
+  float* os = out->data();
+  const simd::KernelTable& kt = simd::Active();
+  // Applied axpy row slices (nonzero edge coefficients + engaged self
+  // loops): the data-movement term of the byte bill.
+  uint64_t applied = 0;
+  auto row_block = [&](int64_t r, int64_t j0, int64_t bw) {
+    const int64_t id = row_ids.empty() ? r : row_ids[static_cast<size_t>(r)];
+    float* orow = os + id * ncols + j0;
+    for (int64_t e = off[r]; e < off[r + 1]; ++e) {
+      const float c = coeff[e];
+      if (c == 0.0f) continue;
+      ++applied;
+      kt.axpy(c, xs + static_cast<int64_t>(col[e]) * ncols + j0, orow, bw);
+    }
+    if (!self_loop.empty() && self_loop[static_cast<size_t>(id)] != 0.0f) {
+      ++applied;
+      kt.axpy(self_loop[static_cast<size_t>(id)], xs + id * ncols + j0, orow,
+              bw);
+    }
+  };
+  if (ncols > kSpmmColBlockEngage) {
+    for (int64_t p0 = range.begin; p0 < range.end;) {
+      // Grow the panel until its edge mass reaches the budget (always at
+      // least one row, so a hub row becomes its own panel).
+      int64_t p1 = p0 + 1;
+      while (p1 < range.end && off[p1] - off[p0] < kSpmmPanelEdges) ++p1;
+      for (int64_t j0 = 0; j0 < ncols; j0 += kSpmmColBlock) {
+        const int64_t bw = std::min(kSpmmColBlock, ncols - j0);
+        for (int64_t r = p0; r < p1; ++r) row_block(r, j0, bw);
+      }
+      p0 = p1;
+    }
+    // Each (row, edge) pair was applied once per column block; the bill
+    // wants whole rows.
+    applied /= static_cast<uint64_t>((ncols + kSpmmColBlock - 1) /
+                                     kSpmmColBlock);
+  } else {
+    for (int64_t r = range.begin; r < range.end; ++r) row_block(r, 0, ncols);
+  }
+  BillSpmm(static_cast<uint64_t>(off[range.end] - off[range.begin]), applied,
+           ncols);
+}
 
 Propagator::Propagator(const CsrGraph& graph, Normalization norm,
                        bool add_self_loops)
     : graph_(graph), norm_(norm) {
   const NodeId n = graph.num_nodes();
-  const auto shards = NodeShards(graph);
+  const auto shards = RowShards(graph.offsets());
   std::vector<double> degree(n, 0.0);
   par::ParallelFor("prop.degrees", shards, [&](int, par::Range range) {
     for (int64_t u = range.begin; u < range.end; ++u) {
@@ -52,52 +143,18 @@ Propagator::Propagator(const CsrGraph& graph, Normalization norm,
                   (add_self_loops ? 1.0 : 0.0);
     }
   });
-  auto inv = [](double d) { return d > 0.0 ? 1.0 / d : 0.0; };
-  auto inv_sqrt = [](double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; };
-
   coeff_.resize(static_cast<size_t>(graph.num_edges()));
   par::ParallelFor("prop.coeffs", shards, [&](int, par::Range range) {
     for (int64_t uu = range.begin; uu < range.end; ++uu) {
       const NodeId u = static_cast<NodeId>(uu);
-      auto nbrs = graph.Neighbors(u);
-      auto ws = graph.Weights(u);
-      const EdgeIndex base = graph.OffsetOf(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const NodeId v = nbrs[i];
-        double c = ws[i];
-        switch (norm_) {
-          case Normalization::kNone:
-            break;
-          case Normalization::kRow:
-            c *= inv(degree[u]);
-            break;
-          case Normalization::kColumn:
-            c *= inv(degree[v]);
-            break;
-          case Normalization::kSymmetric:
-            c *= inv_sqrt(degree[u]) * inv_sqrt(degree[v]);
-            break;
-        }
-        coeff_[static_cast<size_t>(base) + i] = static_cast<float>(c);
-      }
+      NormalizeRow(norm_, degree, u, graph.Neighbors(u), graph.Weights(u),
+                   coeff_.data() + graph.OffsetOf(u));
     }
   });
   if (add_self_loops) {
     self_loop_coeff_.resize(n);
     for (NodeId u = 0; u < n; ++u) {
-      double c = 1.0;
-      switch (norm_) {
-        case Normalization::kNone:
-          break;
-        case Normalization::kRow:
-        case Normalization::kColumn:
-          c = inv(degree[u]);
-          break;
-        case Normalization::kSymmetric:
-          c = inv(degree[u]);  // 1/sqrt(d) * 1/sqrt(d)
-          break;
-      }
-      self_loop_coeff_[u] = static_cast<float>(c);
+      self_loop_coeff_[u] = NormalizeSelfLoop(norm_, degree[u]);
     }
   }
 }
@@ -105,81 +162,15 @@ Propagator::Propagator(const CsrGraph& graph, Normalization norm,
 void Propagator::Apply(const tensor::Matrix& x, tensor::Matrix* out) const {
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_.num_nodes()));
-  SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
-  const int64_t cols = x.cols();
-  *out = tensor::Matrix(x.rows(), cols);
+  *out = tensor::Matrix(x.rows(), x.cols());
   // Row-partitioned SpMM: each shard owns a contiguous block of output
-  // rows and gathers from x, so no write is shared and no atomics are
-  // needed; per-row accumulation order is the serial order, so the result
-  // is bit-identical for any worker count. The accumulation row is the
-  // axpy microkernel (unfused mul/add lanes, simd contract #1), and wide
-  // feature matrices additionally take the cache-blocked panel schedule
-  // above — neither changes a bit.
-  const simd::KernelTable& kt = simd::Active();
-  par::ParallelFor("prop.apply", NodeShards(graph_), [&](int, par::Range range) {
-    // Applied axpy rows (nonzero edge coefficients + engaged self-loops):
-    // the data-movement term of the byte bill.
-    uint64_t applied = 0;
-    auto row_block = [&](NodeId u, int64_t j0, int64_t bw) {
-      auto nbrs = graph_.Neighbors(u);
-      const float* cs = coeff_.data() + graph_.OffsetOf(u);
-      float* orow = out->data() + static_cast<int64_t>(u) * cols + j0;
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const float c = cs[i];
-        if (c == 0.0f) continue;
-        ++applied;
-        kt.axpy(c, x.data() + static_cast<int64_t>(nbrs[i]) * cols + j0,
-                orow, bw);
-      }
-      if (!self_loop_coeff_.empty() && self_loop_coeff_[u] != 0.0f) {
-        ++applied;
-        kt.axpy(self_loop_coeff_[u],
-                x.data() + static_cast<int64_t>(u) * cols + j0, orow, bw);
-      }
-    };
-    if (cols > kSpmmColBlockEngage) {
-      for (int64_t p0 = range.begin; p0 < range.end;) {
-        // Grow the panel until its edge mass reaches the budget (always at
-        // least one row, so a hub row becomes its own panel).
-        int64_t p1 = p0;
-        const EdgeIndex panel_base = graph_.OffsetOf(static_cast<NodeId>(p0));
-        while (p1 < range.end &&
-               (p1 == p0 ||
-                graph_.OffsetOf(static_cast<NodeId>(p1)) - panel_base <
-                    kSpmmPanelEdges)) {
-          ++p1;
-        }
-        for (int64_t j0 = 0; j0 < cols; j0 += kSpmmColBlock) {
-          const int64_t bw = std::min(kSpmmColBlock, cols - j0);
-          for (int64_t uu = p0; uu < p1; ++uu) {
-            row_block(static_cast<NodeId>(uu), j0, bw);
-          }
-        }
-        p0 = p1;
-      }
-      // The column loop visits each (row, edge) pair once per block; the
-      // `applied` bill below wants whole rows, so rescale.
-      applied /= static_cast<uint64_t>((cols + kSpmmColBlock - 1) /
-                                       kSpmmColBlock);
-    } else {
-      for (int64_t uu = range.begin; uu < range.end; ++uu) {
-        row_block(static_cast<NodeId>(uu), 0, cols);
-      }
-    }
-    const uint64_t edges = static_cast<uint64_t>(
-        graph_.OffsetOf(static_cast<NodeId>(range.end)) -
-        graph_.OffsetOf(static_cast<NodeId>(range.begin)));
-    auto& counters = common::GlobalCounters();
-    counters.edges_touched += edges;
-    counters.floats_moved += edges * static_cast<uint64_t>(cols);
-    // Bytes: the coefficient (float) and neighbour-index (NodeId) streams
-    // are scanned for every edge; each applied axpy row reads the gathered
-    // x slice plus the output row (RMW) and writes the output row.
-    counters.BillBytes(
-        edges * (sizeof(float) + sizeof(NodeId)) +
-            applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-        applied * static_cast<uint64_t>(cols) * sizeof(float));
-  });
+  // rows, so no write is shared and no atomics are needed.
+  const SpmmRows rows{graph_.offsets(), graph_.neighbors(), coeff_, {},
+                      self_loop_coeff_};
+  par::ParallelFor("prop.apply", RowShards(graph_.offsets()),
+                   [&](int, par::Range range) {
+                     rows.ApplyRange(x, out, range);
+                   });
 }
 
 void Propagator::ApplyVector(const std::vector<double>& x,
@@ -189,7 +180,8 @@ void Propagator::ApplyVector(const std::vector<double>& x,
   SGNN_DCHECK_EQ(coeff_.size(), static_cast<size_t>(graph_.num_edges()));
   out->assign(x.size(), 0.0);
   par::ParallelFor(
-      "prop.apply_vec", NodeShards(graph_), [&](int, par::Range range) {
+      "prop.apply_vec", RowShards(graph_.offsets()),
+      [&](int, par::Range range) {
         for (int64_t uu = range.begin; uu < range.end; ++uu) {
           const NodeId u = static_cast<NodeId>(uu);
           auto nbrs = graph_.Neighbors(u);
@@ -235,15 +227,7 @@ void Propagator::ApplyTranspose(const tensor::Matrix& x,
               out->data() + static_cast<int64_t>(u) * cols, cols);
     }
   }
-  auto& counters = common::GlobalCounters();
-  counters.edges_touched += static_cast<uint64_t>(graph_.num_edges());
-  counters.floats_moved +=
-      static_cast<uint64_t>(graph_.num_edges()) * static_cast<uint64_t>(cols);
-  counters.BillBytes(
-      static_cast<uint64_t>(graph_.num_edges()) *
-              (sizeof(float) + sizeof(NodeId)) +
-          applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-      applied * static_cast<uint64_t>(cols) * sizeof(float));
+  BillSpmm(static_cast<uint64_t>(graph_.num_edges()), applied, cols);
 }
 
 tensor::Matrix PropagateKHops(const Propagator& prop, const tensor::Matrix& x,

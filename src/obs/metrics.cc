@@ -170,11 +170,6 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-uint64_t Histogram::count() const {
-  common::MutexLock lock(mu_);
-  return count_;
-}
-
 double HistogramSnapshot::Percentile(double q) const {
   SGNN_CHECK(q >= 0.0 && q <= 1.0);
   if (count == 0) return 0.0;

@@ -100,7 +100,6 @@ class Histogram {
   HistogramSnapshot Snapshot() const SGNN_EXCLUDES(mu_);
   /// Shorthand for `Snapshot().Percentile(q)`.
   double Percentile(double q) const { return Snapshot().Percentile(q); }
-  uint64_t count() const SGNN_EXCLUDES(mu_);
 
  private:
   friend class MetricsRegistry;

@@ -33,15 +33,4 @@ void FrozenModel::Forward(const Matrix& x, Matrix* logits) const {
   *logits = std::move(cur);
 }
 
-int FrozenModel::Predict(std::span<const float> embedding) const {
-  SGNN_CHECK_EQ(static_cast<int64_t>(embedding.size()), in_dim());
-  Matrix x(1, in_dim());
-  std::copy(embedding.begin(), embedding.end(), x.Row(0).begin());
-  Matrix logits;
-  Forward(x, &logits);
-  auto row = logits.Row(0);
-  return static_cast<int>(
-      std::max_element(row.begin(), row.end()) - row.begin());
-}
-
 }  // namespace sgnn::serve

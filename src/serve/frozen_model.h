@@ -31,10 +31,6 @@ class FrozenModel {
   /// Computes logits for a batch of embedding rows. Thread-safe.
   void Forward(const tensor::Matrix& x, tensor::Matrix* logits) const;
 
-  /// Argmax class of a single embedding row (ties break to the lowest
-  /// index); convenience for single-request paths and tests.
-  int Predict(std::span<const float> embedding) const;
-
   int64_t in_dim() const { return layers_.front().weight.rows(); }
   int64_t out_dim() const { return layers_.back().weight.cols(); }
   int num_layers() const { return static_cast<int>(layers_.size()); }

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/counters.h"
+#include "graph/propagate.h"
 #include "subgraph/khop.h"
 
 namespace sgnn::serve {
@@ -47,33 +48,30 @@ void KHopEmbedder::Embed(NodeId center, std::span<float> out) const {
   counters.floats_moved += static_cast<uint64_t>(k * cols);
   counters.Acquire(static_cast<uint64_t>(2 * k * cols));
 
-  // Local S^K over the ball with global-degree coefficients. Only the
-  // center row is read out, so boundary inexactness never surfaces (see
-  // header comment).
+  // Local S^K over the ball with global-degree coefficients, computed once
+  // per request (the float expression `w * inv_u * inv_v`) and then run
+  // through the shared row kernel each hop. Only the center row is read
+  // out, so boundary inexactness never surfaces (see header comment).
+  const graph::CsrGraph& sub = ego.subgraph;
+  std::vector<float> coeffs(static_cast<size_t>(sub.num_edges()));
+  std::vector<float> self_loop(static_cast<size_t>(k));
+  for (int64_t u = 0; u < k; ++u) {
+    const float inv_u = inv_sqrt_degree_[ego.nodes[u]];
+    auto nbrs = sub.Neighbors(static_cast<NodeId>(u));
+    auto ws = sub.Weights(static_cast<NodeId>(u));
+    float* cs = coeffs.data() + sub.OffsetOf(static_cast<NodeId>(u));
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      cs[i] = ws[i] * inv_u * inv_sqrt_degree_[ego.nodes[nbrs[i]]];
+    }
+    self_loop[static_cast<size_t>(u)] = inv_u * inv_u;
+  }
+  const graph::SpmmRows rows{sub.offsets(), sub.neighbors(), coeffs, {},
+                             self_loop};
   Matrix next(k, cols);
   for (int step = 0; step < hops_; ++step) {
     next.Zero();
-    for (int64_t u = 0; u < k; ++u) {
-      const float inv_u = inv_sqrt_degree_[ego.nodes[u]];
-      auto nbrs = ego.subgraph.Neighbors(static_cast<NodeId>(u));
-      auto ws = ego.subgraph.Weights(static_cast<NodeId>(u));
-      auto orow = next.Row(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const float c =
-            ws[i] * inv_u * inv_sqrt_degree_[ego.nodes[nbrs[i]]];
-        if (c == 0.0f) continue;
-        auto xrow = cur.Row(static_cast<int64_t>(nbrs[i]));
-        for (int64_t j = 0; j < cols; ++j) orow[j] += c * xrow[j];
-      }
-      const float self_c = inv_u * inv_u;
-      auto xrow = cur.Row(u);
-      for (int64_t j = 0; j < cols; ++j) orow[j] += self_c * xrow[j];
-    }
+    rows.Apply(cur, &next);
     std::swap(cur, next);
-    counters.edges_touched += static_cast<uint64_t>(ego.subgraph.num_edges());
-    counters.floats_moved +=
-        static_cast<uint64_t>(ego.subgraph.num_edges()) *
-        static_cast<uint64_t>(cols);
   }
 
   auto center_row = cur.Row(0);  // ego.nodes[0] == center by construction.

@@ -6,8 +6,8 @@
 namespace sgnn::simd {
 
 /// `sgnn::simd` — the vectorized microkernel substrate under the hot
-/// kernels (`tensor::Gemm` and friends, the `Propagator`/`OocPropagator`
-/// SpMM inner loops, the row/elementwise ops). Two backends implement one
+/// kernels (`tensor::Gemm` and friends, the `graph::SpmmRows` SpMM row
+/// kernel, the row/elementwise ops). Two backends implement one
 /// kernel table:
 ///
 ///   * `avx2`   — 8-lane single-precision AVX2 (FMA only where fusion is

@@ -1,6 +1,5 @@
 #include "storage/ooc.h"
 
-#include <cmath>
 #include <queue>
 #include <utility>
 
@@ -8,7 +7,6 @@
 #include "common/counters.h"
 #include "par/par.h"
 #include "sampling/assembly.h"
-#include "simd/simd.h"
 
 namespace sgnn::storage {
 
@@ -19,13 +17,8 @@ using graph::Normalization;
 
 namespace {
 
-/// Same shard grains as the in-memory kernels, so intra-shard parallel
-/// geometry matches them row for row.
-constexpr int64_t kEdgeGrain = 32 * 1024;
+/// Same destination grain as the in-memory sampler.
 constexpr int64_t kDstGrain = 256;
-
-double Inv(double d) { return d > 0.0 ? 1.0 / d : 0.0; }
-double InvSqrt(double d) { return d > 0.0 ? 1.0 / std::sqrt(d) : 0.0; }
 
 }  // namespace
 
@@ -45,11 +38,9 @@ StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
     auto pin_or = graph->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();
     const PinnedShard& pin = pin_or.value();
-    const auto ranges = par::RowRanges(
-        pin.local_offsets(),
-        par::ShardsFor(pin.local_offsets().back(), kEdgeGrain));
     par::ParallelFor(
-        "storage.prop.degrees", ranges, [&](int, par::Range range) {
+        "storage.prop.degrees", graph::RowShards(pin.local_offsets()),
+        [&](int, par::Range range) {
           for (int64_t r = range.begin; r < range.end; ++r) {
             // Float weights accumulate into a double in adjacency order —
             // the exact `CsrGraph::WeightedDegree` arithmetic.
@@ -63,19 +54,8 @@ StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
   if (add_self_loops) {
     prop.self_loop_coeff_.resize(n);
     for (NodeId u = 0; u < n; ++u) {
-      double c = 1.0;
-      switch (norm) {
-        case Normalization::kNone:
-          break;
-        case Normalization::kRow:
-        case Normalization::kColumn:
-          c = Inv(prop.degree_[u]);
-          break;
-        case Normalization::kSymmetric:
-          c = Inv(prop.degree_[u]);  // 1/sqrt(d) * 1/sqrt(d)
-          break;
-      }
-      prop.self_loop_coeff_[u] = static_cast<float>(c);
+      prop.self_loop_coeff_[u] =
+          graph::NormalizeSelfLoop(norm, prop.degree_[u]);
     }
   }
   return prop;
@@ -86,76 +66,32 @@ Status OocPropagator::Apply(const tensor::Matrix& x,
   SGNN_CHECK(out != nullptr);
   SGNN_CHECK(graph_ != nullptr);
   SGNN_CHECK_EQ(x.rows(), static_cast<int64_t>(graph_->num_nodes()));
-  const int64_t cols = x.cols();
-  *out = tensor::Matrix(x.rows(), cols);
+  *out = tensor::Matrix(x.rows(), x.cols());
+  // The pinned shard's float coefficients, reused across shards.
+  std::vector<float> coeffs;
   for (int s = 0; s < graph_->num_shards(); ++s) {
     auto pin_or = graph_->PinShard(s);
     if (!pin_or.ok()) return pin_or.status();
     const PinnedShard& pin = pin_or.value();
-    const int64_t shard_edges = pin.local_offsets().back();
-    const auto ranges = par::RowRanges(
-        pin.local_offsets(), par::ShardsFor(shard_edges, kEdgeGrain));
-    // Row-partitioned SpMM exactly like `Propagator::Apply`, with the
-    // per-edge float coefficient recomputed on the fly: double expression,
-    // then one float cast — the same rounding the in-memory constructor
-    // stored, so every axpy adds the identical float. The accumulation row
-    // is the same unfused-mul/add microkernel, so the out-of-core result
-    // stays byte-identical to the in-memory one at any resident budget.
-    const simd::KernelTable& kt = simd::Active();
-    // Applied axpy rows per par shard (nonzero coefficients + engaged
-    // self-loops), summed after the section for the byte bill.
-    std::vector<uint64_t> applied(ranges.size(), 0);
+    const std::span<const int64_t> offsets = pin.local_offsets();
+    coeffs.resize(static_cast<size_t>(offsets.back()));
+    // Each par shard normalises its rows' coefficients with the in-memory
+    // constructor's expressions (`graph::NormalizeRow`), then runs them
+    // through the shared row kernel; equal coefficient bits make the
+    // result byte-identical to `Propagator::Apply` at any budget.
+    const graph::SpmmRows rows{offsets, pin.local_neighbors(), coeffs,
+                               pin.rows(), self_loop_coeff_};
     par::ParallelFor(
-        "storage.prop.apply", ranges, [&](int shard, par::Range range) {
-          uint64_t rows_applied = 0;
+        "storage.prop.apply", graph::RowShards(offsets),
+        [&](int, par::Range range) {
           for (int64_t r = range.begin; r < range.end; ++r) {
-            const NodeId u = pin.rows()[static_cast<size_t>(r)];
-            auto nbrs = pin.NeighborsLocal(r);
-            auto ws = pin.WeightsLocal(r);
-            float* orow = out->data() + static_cast<int64_t>(u) * cols;
-            for (size_t i = 0; i < nbrs.size(); ++i) {
-              const NodeId v = nbrs[i];
-              double c = ws[i];
-              switch (norm_) {
-                case Normalization::kNone:
-                  break;
-                case Normalization::kRow:
-                  c *= Inv(degree_[u]);
-                  break;
-                case Normalization::kColumn:
-                  c *= Inv(degree_[v]);
-                  break;
-                case Normalization::kSymmetric:
-                  c *= InvSqrt(degree_[u]) * InvSqrt(degree_[v]);
-                  break;
-              }
-              const float cf = static_cast<float>(c);
-              if (cf == 0.0f) continue;
-              ++rows_applied;
-              kt.axpy(cf, x.data() + static_cast<int64_t>(v) * cols, orow,
-                      cols);
-            }
-            if (!self_loop_coeff_.empty() && self_loop_coeff_[u] != 0.0f) {
-              ++rows_applied;
-              kt.axpy(self_loop_coeff_[u],
-                      x.data() + static_cast<int64_t>(u) * cols, orow, cols);
-            }
+            graph::NormalizeRow(norm_, degree_,
+                                pin.rows()[static_cast<size_t>(r)],
+                                pin.NeighborsLocal(r), pin.WeightsLocal(r),
+                                coeffs.data() + offsets[r]);
           }
-          applied[static_cast<size_t>(shard)] = rows_applied;
+          rows.ApplyRange(x, out, range);
         });
-    uint64_t shard_applied = 0;
-    for (uint64_t a : applied) shard_applied += a;
-    auto& counters = common::GlobalCounters();
-    counters.edges_touched += static_cast<uint64_t>(shard_edges);
-    counters.floats_moved +=
-        static_cast<uint64_t>(shard_edges) * static_cast<uint64_t>(cols);
-    // Bytes: weight + local-index streams per edge, then the gathered x
-    // slice plus the output row (RMW) per applied axpy — the same formula
-    // `Propagator::Apply` bills, so in-memory and out-of-core runs agree.
-    counters.BillBytes(
-        static_cast<uint64_t>(shard_edges) * (sizeof(float) + sizeof(NodeId)) +
-            shard_applied * 2u * static_cast<uint64_t>(cols) * sizeof(float),
-        shard_applied * static_cast<uint64_t>(cols) * sizeof(float));
   }
   return Status::OK();
 }

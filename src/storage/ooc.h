@@ -29,10 +29,11 @@ namespace sgnn::storage {
 /// load/eviction sequence deterministic.
 
 /// Out-of-core `graph::Propagator`: the O(num_edges) coefficient array is
-/// never materialised — coefficients are recomputed per edge from a
-/// resident O(num_nodes) degree table using the exact double-precision
-/// expressions the in-memory constructor evaluates, so the rounded float
-/// applied per edge is bit-identical.
+/// never materialised — each pinned shard's coefficients are computed
+/// into one buffer reused across shards, from a resident O(num_nodes)
+/// degree table with the in-memory constructor's own helper
+/// (`graph::NormalizeRow`), so the rounded float applied per edge is
+/// bit-identical. Rows run through the shared `graph::SpmmRows` kernel.
 class OocPropagator {
  public:
   /// Builds the resident degree/self-loop tables with one streaming pass
@@ -44,8 +45,8 @@ class OocPropagator {
 
   /// out = \hat{A} x, bit-identical to `Propagator::Apply`. Streams shards
   /// in ascending order; rows within the pinned shard fan out over
-  /// `sgnn::par`. Bills edges/floats to `common::GlobalCounters` exactly
-  /// like the in-memory kernel.
+  /// `sgnn::par`. Bills edges, floats and bytes to
+  /// `common::GlobalCounters` exactly like the in-memory kernel.
   SGNN_NODISCARD common::Status Apply(const tensor::Matrix& x, tensor::Matrix* out) const;
 
   graph::Normalization normalization() const { return norm_; }

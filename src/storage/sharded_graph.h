@@ -106,6 +106,10 @@ class PinnedShard {
             static_cast<size_t>(num_rows_) + 1};
   }
 
+  /// The shard's whole neighbour array, indexed by `local_offsets()`.
+  std::span<const graph::NodeId> local_neighbors() const {
+    return {neighbors_, static_cast<size_t>(offsets_[num_rows_])};
+  }
   std::span<const graph::NodeId> NeighborsLocal(int64_t row) const {
     SGNN_DCHECK(row >= 0 && row < num_rows_);
     return {neighbors_ + offsets_[row],

@@ -76,6 +76,28 @@ TEST(WorkerSpecTest, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed.self_loop, spec.self_loop);
 }
 
+TEST(WorkerSpecTest, OffsetsThatDoNotAscendFromZeroAreDataLoss) {
+  // The worker's row kernel walks [offsets[i], offsets[i+1]) for every
+  // owned row, so offsets must start at 0 and never descend.
+  WorkerSpec spec;
+  spec.worker_id = 0;
+  spec.num_workers = 1;
+  spec.cols = 1;
+  spec.owned = {0, 1, 2};
+  spec.neighbors = {1, 2, 0, 1};
+  spec.coefficients = {1.0f, 1.0f, 1.0f, 1.0f};
+  spec.self_loop = {1.0f, 1.0f, 1.0f};
+  for (const std::vector<uint64_t>& offsets :
+       std::vector<std::vector<uint64_t>>{{0, 3, 1, 4}, {1, 2, 3, 4}}) {
+    spec.offsets = offsets;
+    auto parsed_or = WorkerSpec::Parse(spec.Serialize());
+    ASSERT_FALSE(parsed_or.ok());
+    EXPECT_EQ(parsed_or.status().code(), StatusCode::kDataLoss);
+  }
+  spec.offsets = {0, 3, 3, 4};
+  EXPECT_TRUE(WorkerSpec::Parse(spec.Serialize()).ok());
+}
+
 TEST(WorkerSpecTest, EveryTruncationIsDataLossNeverUB) {
   WorkerSpec spec;
   spec.worker_id = 0;
@@ -190,6 +212,23 @@ TEST(DistRunTest, BitIdenticalToSingleProcessAcrossWorkerCounts) {
     EXPECT_TRUE(got_or.value().Equals(want)) << "k=" << k;
     EXPECT_EQ(report.num_workers, k);
     EXPECT_EQ(report.epochs_run, opts.hops);
+  }
+}
+
+// Same contract above the 128-column width where the in-memory kernel
+// switches to its column-blocked schedule.
+TEST(DistRunTest, BitIdenticalToSingleProcessAtWideFeatures) {
+  const CsrGraph g = TestGraph();
+  const Matrix x = TestFeatures(g, /*cols=*/160);
+  DistOptions opts;
+  opts.hops = 2;
+  const Matrix want = Reference(g, x, opts);
+  for (const int k : {1, 2, 4}) {
+    const Partition parts = partition::LdgPartition(g, k, 1.05, 31);
+    core::RunContext ctx;
+    auto got_or = RunDistributedPropagation(g, parts, x, opts, ctx);
+    ASSERT_TRUE(got_or.ok()) << "k=" << k << ": " << got_or.status().ToString();
+    EXPECT_TRUE(got_or.value().Equals(want)) << "k=" << k;
   }
 }
 

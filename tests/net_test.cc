@@ -3,11 +3,14 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -466,14 +469,33 @@ bool WaitFor(const std::function<bool()>& predicate) {
   return predicate();
 }
 
-/// Threads in this process, as the kernel lists them.
-int CountThreads() {
-  int threads = 0;
-  for ([[maybe_unused]] const auto& entry :
+/// Ids of this process's threads, as the kernel lists them.
+std::set<std::string> ThreadIds() {
+  std::set<std::string> tids;
+  for (const auto& entry :
        std::filesystem::directory_iterator("/proc/self/task")) {
-    ++threads;
+    tids.insert(entry.path().filename().string());
   }
-  return threads;
+  return tids;
+}
+
+/// True when thread `tid` has terminated. `pthread_join` returns once the
+/// kernel clears the thread's tid, which happens inside its exit path but
+/// before the task is released, so a joined thread may still be listed
+/// for a moment. It is then gone, a zombie or dead (state Z/X), or still
+/// running its exit path with PF_EXITING (0x4) set in its flags; a live
+/// thread is none of these.
+bool ThreadExited(const std::string& tid) {
+  std::ifstream in("/proc/self/task/" + tid + "/stat");
+  std::string stat;
+  if (!std::getline(in, stat)) return true;  // Released.
+  // Fields after the parenthesised command name: state, ppid, pgrp, sid,
+  // tty_nr, tpgid, flags.
+  std::istringstream fields(stat.substr(stat.rfind(')') + 1));
+  std::string state;
+  uint64_t ppid, pgrp, sid, tty, tpgid, flags;
+  fields >> state >> ppid >> pgrp >> sid >> tty >> tpgid >> flags;
+  return state == "Z" || state == "X" || (flags & 0x4u) != 0;
 }
 
 // --------------------------------------------------------- front door e2e
@@ -979,19 +1001,31 @@ TEST(HttpFrontDoorTest, StartAddsExactlyTheEventLoopThread) {
         return Status::OK();
       },
       kNodes, QuickServeConfig());
-  const int before = CountThreads();
+  // Tid sets, not counts: a thread joined by an earlier test can still be
+  // listed in `before` and vanish at any moment.
+  const std::set<std::string> before = ThreadIds();
   HttpFrontDoor door(&server, HttpFrontDoorConfig{});
   ASSERT_TRUE(door.Start().ok());
   // The epoll thread submits straight into the server's queue, and
   // completions run on the server's threads, so the door owns only the
   // epoll thread.
-  EXPECT_EQ(CountThreads() - before, 1);
+  std::vector<std::string> started;
+  for (const std::string& tid : ThreadIds()) {
+    if (!before.contains(tid)) started.push_back(tid);
+  }
+  EXPECT_EQ(started.size(), 1u);
   HttpClient client = Dial(door.port());
   auto infer = client.Post("/v1/infer", InferBody(3));
   ASSERT_TRUE(infer.ok()) << infer.status().ToString();
   EXPECT_EQ(infer.value().status_code, 200);
   door.Shutdown();
-  EXPECT_EQ(CountThreads(), before);
+  // Shutdown joined the epoll thread, and no thread leaked: every thread
+  // not present before has exited.
+  for (const std::string& tid : ThreadIds()) {
+    if (!before.contains(tid)) {
+      EXPECT_TRUE(ThreadExited(tid)) << "tid " << tid;
+    }
+  }
 }
 
 TEST(HttpFrontDoorTest, ClientThatStopsReadingDoesNotStallOtherConnections) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -103,6 +104,46 @@ TEST(KHopEmbedderTest, MatchesGlobalPropagation) {
           << "node " << u << " col " << j;
     }
   }
+}
+
+/// FNV-1a-64 over the bit patterns of `rows`.
+uint64_t Fnv1a64(std::span<const float> rows) {
+  uint64_t h = 1469598103934665603ull;
+  for (const float f : rows) {
+    const auto bits = std::bit_cast<uint32_t>(f);
+    for (int b = 0; b < 4; ++b) {
+      h = (h ^ ((bits >> (8 * b)) & 0xffu)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(KHopEmbedderTest, OutputBitsArePinned) {
+  // The near-equality test above cannot see a moved bit; these hashes pin
+  // the exact rows at 2 hops and 128 columns, with and without a budget.
+  core::SbmDatasetConfig config;
+  config.sbm.num_nodes = 400;
+  config.sbm.num_classes = 4;
+  config.sbm.avg_degree = 10.0;
+  config.sbm.homophily = 0.7;
+  config.feature_dim = 128;
+  const core::Dataset dataset = core::MakeSbmDataset(config, 17);
+  const std::vector<NodeId> centers = {0, 3, 77, 256, 399};
+  auto hash_rows = [&](int64_t node_budget) {
+    KHopEmbedder embedder(dataset.graph, dataset.features, /*hops=*/2,
+                          node_budget);
+    std::vector<float> rows(centers.size() *
+                            static_cast<size_t>(embedder.dim()));
+    for (size_t i = 0; i < centers.size(); ++i) {
+      embedder.Embed(centers[i],
+                     std::span(rows).subspan(
+                         i * static_cast<size_t>(embedder.dim()),
+                         static_cast<size_t>(embedder.dim())));
+    }
+    return Fnv1a64(rows);
+  };
+  EXPECT_EQ(hash_rows(0), 8115924953268901468ull);
+  EXPECT_EQ(hash_rows(40), 12863307601583298422ull);
 }
 
 /// The serving-latency ladder now lives in `obs::Histogram`
