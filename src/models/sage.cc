@@ -159,16 +159,20 @@ Matrix SageModel::Predict(const graph::CsrGraph& graph, const Matrix& x) {
   // Exact mean aggregation: D^-1 A without self loops.
   graph::Propagator mean_prop(graph, graph::Normalization::kRow,
                               /*add_self_loops=*/false);
-  Matrix cur = x;
+  // Layer 0 reads `x` in place; every later layer reads the previous
+  // layer's output.
+  Matrix cur;
+  const Matrix* in = &x;
   for (size_t l = 0; l < self_.size(); ++l) {
     Matrix aggregated;
-    mean_prop.Apply(cur, &aggregated);
+    mean_prop.Apply(*in, &aggregated);
     Matrix out_self, out_nbr;
-    self_[l].Forward(cur, &out_self);
+    self_[l].Forward(*in, &out_self);
     nbr_[l].Forward(aggregated, &out_nbr);
     tensor::Axpy(1.0f, out_nbr, &out_self);
     if (l + 1 < self_.size()) tensor::Relu(&out_self);
     cur = std::move(out_self);
+    in = &cur;
   }
   return cur;
 }

@@ -77,6 +77,10 @@ Matrix ThresholdedPropagate(const graph::Propagator& prop, const Matrix& h,
         for (int64_t j = 0; j < cols; ++j) orow[j] += self * zrow[j];
       }
     }
+    // Pruning skips multiply-adds, not adjacency reads: every edge is
+    // walked once per hop.
+    common::GlobalCounters().edges_touched +=
+        static_cast<uint64_t>(g.num_edges());
     tensor::Scale(static_cast<float>(1.0 - alpha), &next);
     tensor::Axpy(static_cast<float>(alpha), h, &next);
     std::swap(z, next);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/check.h"
 #include "common/counters.h"
@@ -16,57 +15,14 @@ using graph::NodeId;
 
 PushResult ForwardPush(const CsrGraph& graph, NodeId source, double alpha,
                        double r_max) {
-  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
-  SGNN_CHECK_GT(r_max, 0.0);
-  SGNN_CHECK_LT(source, graph.num_nodes());
-
-  std::vector<double> p(graph.num_nodes(), 0.0);
-  std::vector<double> r(graph.num_nodes(), 0.0);
-  std::vector<bool> queued(graph.num_nodes(), false);
-  std::queue<NodeId> active;
-
-  r[source] = 1.0;
-  active.push(source);
-  queued[source] = true;
-
-  PushResult result;
-  while (!active.empty()) {
-    const NodeId u = active.front();
-    active.pop();
-    queued[u] = false;
-    const auto deg = graph.OutDegree(u);
-    if (deg == 0) {
-      // Dangling node: all residual mass settles here.
-      p[u] += r[u];
-      r[u] = 0.0;
-      continue;
-    }
-    if (r[u] <= r_max * static_cast<double>(deg)) continue;
-    const double ru = r[u];
-    p[u] += alpha * ru;
-    r[u] = 0.0;
-    ++result.pushes;
-    result.edges_touched += deg;
-    const double w_deg = graph.WeightedDegree(u);
-    const double spread = (1.0 - alpha) * ru / w_deg;
-    auto nbrs = graph.Neighbors(u);
-    auto ws = graph.Weights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      r[v] += spread * ws[i];
-      if (!queued[v] && r[v] > r_max * static_cast<double>(graph.OutDegree(v))) {
-        active.push(v);
-        queued[v] = true;
-      }
-    }
-  }
-
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(result.edges_touched);
-  return result;
+  return RunForwardPush(
+             graph.num_nodes(), source, alpha, r_max,
+             [&graph](NodeId u) { return graph.OutDegree(u); },
+             [&graph](NodeId u, auto&& spread) {
+               spread(graph.Neighbors(u), graph.Weights(u));
+               return common::Status::OK();
+             })
+      .value();
 }
 
 std::vector<PushResult> PushBatch(const CsrGraph& graph,

@@ -2,10 +2,14 @@
 #define SGNN_PPR_PPR_H_
 
 #include <cstdint>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "common/counters.h"
+#include "common/status.h"
 #include "graph/csr_graph.h"
 
 namespace sgnn::ppr {
@@ -33,6 +37,77 @@ struct PushResult {
 /// mass on the source.
 PushResult ForwardPush(const graph::CsrGraph& graph, graph::NodeId source,
                        double alpha, double r_max);
+
+/// The forward-push loop itself, behind `ForwardPush` and the out-of-core
+/// `storage::ForwardPush`: both run this code, so equal adjacency gives
+/// equal results and counts. `out_degree(u)` answers every threshold test.
+/// `visit_row(u, spread)` runs once per actual push; it calls
+/// `spread(neighbors, weights)` with u's adjacency and returns OK, or
+/// returns the error that kept it from reading the row, which ends the
+/// push. Pushes are FIFO; a dangling node settles its whole residual.
+/// Bills `edges_touched` to `common::GlobalCounters` on success.
+template <typename OutDegreeFn, typename VisitRowFn>
+common::StatusOr<PushResult> RunForwardPush(graph::NodeId num_nodes,
+                                            graph::NodeId source, double alpha,
+                                            double r_max,
+                                            OutDegreeFn&& out_degree,
+                                            VisitRowFn&& visit_row) {
+  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
+  SGNN_CHECK_GT(r_max, 0.0);
+  SGNN_CHECK_LT(source, num_nodes);
+
+  std::vector<double> p(num_nodes, 0.0);
+  std::vector<double> r(num_nodes, 0.0);
+  std::vector<bool> queued(num_nodes, false);
+  std::queue<graph::NodeId> active;
+
+  r[source] = 1.0;
+  active.push(source);
+  queued[source] = true;
+
+  PushResult result;
+  while (!active.empty()) {
+    const graph::NodeId u = active.front();
+    active.pop();
+    queued[u] = false;
+    const auto deg = out_degree(u);
+    if (deg == 0) {
+      // Dangling node: all residual mass settles here.
+      p[u] += r[u];
+      r[u] = 0.0;
+      continue;
+    }
+    if (r[u] <= r_max * static_cast<double>(deg)) continue;
+    const double ru = r[u];
+    p[u] += alpha * ru;
+    r[u] = 0.0;
+    ++result.pushes;
+    result.edges_touched += deg;
+    SGNN_RETURN_IF_ERROR(visit_row(u, [&](std::span<const graph::NodeId> nbrs,
+                                          std::span<const float> ws) {
+      // Float weights accumulate into a double in adjacency order: the
+      // `CsrGraph::WeightedDegree` arithmetic.
+      double w_deg = 0.0;
+      for (float w : ws) w_deg += w;
+      const double spread = (1.0 - alpha) * ru / w_deg;
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        const graph::NodeId v = nbrs[i];
+        r[v] += spread * ws[i];
+        if (!queued[v] && r[v] > r_max * static_cast<double>(out_degree(v))) {
+          active.push(v);
+          queued[v] = true;
+        }
+      }
+    }));
+  }
+
+  for (graph::NodeId v = 0; v < num_nodes; ++v) {
+    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
+  }
+  common::GlobalCounters().edges_touched +=
+      static_cast<uint64_t>(result.edges_touched);
+  return result;
+}
 
 /// Forward push from every seed in `seeds` (PPRGo/SCARA-style batch
 /// precompute). Runs seeds as a parallel section over the process-wide

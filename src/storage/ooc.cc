@@ -1,10 +1,8 @@
 #include "storage/ooc.h"
 
-#include <queue>
 #include <utility>
 
 #include "common/check.h"
-#include "common/counters.h"
 #include "par/par.h"
 #include "sampling/assembly.h"
 
@@ -14,13 +12,6 @@ using common::Status;
 using common::StatusOr;
 using graph::NodeId;
 using graph::Normalization;
-
-namespace {
-
-/// Same destination grain as the in-memory sampler.
-constexpr int64_t kDstGrain = 256;
-
-}  // namespace
 
 StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
                                               Normalization norm,
@@ -99,63 +90,17 @@ Status OocPropagator::Apply(const tensor::Matrix& x,
 StatusOr<ppr::PushResult> ForwardPush(ShardedGraph* graph, NodeId source,
                                       double alpha, double r_max) {
   SGNN_CHECK(graph != nullptr);
-  SGNN_CHECK(alpha > 0.0 && alpha < 1.0);
-  SGNN_CHECK_GT(r_max, 0.0);
-  SGNN_CHECK_LT(source, graph->num_nodes());
-
-  std::vector<double> p(graph->num_nodes(), 0.0);
-  std::vector<double> r(graph->num_nodes(), 0.0);
-  std::vector<bool> queued(graph->num_nodes(), false);
-  std::queue<NodeId> active;
-
-  r[source] = 1.0;
-  active.push(source);
-  queued[source] = true;
-
-  ppr::PushResult result;
-  while (!active.empty()) {
-    const NodeId u = active.front();
-    active.pop();
-    queued[u] = false;
-    const auto deg = graph->OutDegree(u);
-    if (deg == 0) {
-      // Dangling node: all residual mass settles here.
-      p[u] += r[u];
-      r[u] = 0.0;
-      continue;
-    }
-    if (r[u] <= r_max * static_cast<double>(deg)) continue;
-    const double ru = r[u];
-    p[u] += alpha * ru;
-    r[u] = 0.0;
-    ++result.pushes;
-    result.edges_touched += deg;
-    // The shard is pinned only for actual pushes — threshold checks read
-    // the resident degree index — so faults track pushes, not queue churn.
-    auto pin_or = graph->Pin(u);
-    if (!pin_or.ok()) return pin_or.status();
-    const PinnedShard& pin = pin_or.value();
-    const double w_deg = pin.WeightedDegree(u);
-    const double spread = (1.0 - alpha) * ru / w_deg;
-    auto nbrs = pin.Neighbors(u);
-    auto ws = pin.Weights(u);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId v = nbrs[i];
-      r[v] += spread * ws[i];
-      if (!queued[v] &&
-          r[v] > r_max * static_cast<double>(graph->OutDegree(v))) {
-        active.push(v);
-        queued[v] = true;
-      }
-    }
-  }
-
-  for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-    if (p[v] > 0.0) result.estimate.emplace_back(v, p[v]);
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(result.edges_touched);
-  return result;
+  // The shard is pinned only for actual pushes — threshold checks read the
+  // resident degree index — so faults track pushes, not queue churn.
+  return ppr::RunForwardPush(
+      graph->num_nodes(), source, alpha, r_max,
+      [graph](NodeId u) { return graph->OutDegree(u); },
+      [graph](NodeId u, auto&& spread) -> Status {
+        auto pin_or = graph->Pin(u);
+        if (!pin_or.ok()) return pin_or.status();
+        spread(pin_or.value().Neighbors(u), pin_or.value().Weights(u));
+        return Status::OK();
+      });
 }
 
 StatusOr<std::vector<ppr::PushResult>> PushBatch(
@@ -180,67 +125,40 @@ StatusOr<sampling::MiniBatch> SampleNodeWise(ShardedGraph* graph,
                                              common::Rng* rng) {
   SGNN_CHECK(graph != nullptr);
   SGNN_CHECK(rng != nullptr);
-  SGNN_CHECK_GE(fanouts.size(), 1u);
-  SGNN_CHECK(!seeds.empty());
-
-  std::vector<sampling::LayerSample> outer_first;
-  std::vector<NodeId> frontier(seeds.begin(), seeds.end());
-  for (size_t l = 0; l < fanouts.size(); ++l) {
-    const int fanout = fanouts[l];
-    SGNN_CHECK_GE(fanout, 1);
-    const std::vector<NodeId>& dst = frontier;
-    // One caller-side engine draw per layer, then keyed per-destination
-    // streams — the in-memory sampler's scheme, so the draws (and the
-    // assembled block) do not depend on the shard grouping below.
-    const uint64_t layer_base = rng->engine()();
-    std::vector<std::vector<std::pair<NodeId, float>>> edges(dst.size());
-    std::vector<std::vector<int64_t>> by_shard(
-        static_cast<size_t>(graph->num_shards()));
-    for (size_t i = 0; i < dst.size(); ++i) {
-      by_shard[static_cast<size_t>(graph->shard_of(dst[i]))].push_back(
-          static_cast<int64_t>(i));
-    }
-    for (int s = 0; s < graph->num_shards(); ++s) {
-      const std::vector<int64_t>& bucket = by_shard[static_cast<size_t>(s)];
-      if (bucket.empty()) continue;
-      auto pin_or = graph->PinShard(s);
-      if (!pin_or.ok()) return pin_or.status();
-      const PinnedShard& pin = pin_or.value();
-      const int64_t m = static_cast<int64_t>(bucket.size());
-      const auto ranges = par::SplitUniform(m, par::ShardsFor(m, kDstGrain));
-      par::ParallelFor(
-          "storage.sample.node_wise", ranges, [&](int, par::Range range) {
-            uint64_t scanned = 0;
-            for (int64_t b = range.begin; b < range.end; ++b) {
-              const size_t i = static_cast<size_t>(bucket[b]);
-              auto nbrs = pin.Neighbors(dst[i]);
-              auto& out = edges[i];
-              if (nbrs.empty()) continue;
-              if (static_cast<int>(nbrs.size()) <= fanout) {
-                const float w = 1.0f / static_cast<float>(nbrs.size());
-                for (NodeId v : nbrs) out.emplace_back(v, w);
-              } else {
-                common::KeyedStream local(layer_base, dst[i]);
-                auto picks = local.SampleWithoutReplacement(
-                    nbrs.size(), static_cast<uint64_t>(fanout));
-                const float w = 1.0f / static_cast<float>(fanout);
-                for (uint64_t pick : picks) out.emplace_back(nbrs[pick], w);
-              }
-              scanned += out.size();
-            }
-            // The in-memory sampler's bill: adjacency entries read.
-            common::GlobalCounters().edges_touched += scanned;
-          });
-    }
-    sampling::LayerSample layer =
-        sampling::AssembleLayer(graph->num_nodes(), dst, edges);
-    frontier = layer.src;
-    outer_first.push_back(std::move(layer));
-  }
-  sampling::MiniBatch batch;
-  batch.layers.assign(std::make_move_iterator(outer_first.rbegin()),
-                      std::make_move_iterator(outer_first.rend()));
-  return batch;
+  std::vector<std::vector<size_t>> by_shard(
+      static_cast<size_t>(graph->num_shards()));
+  return sampling::BuildBatch(
+      seeds, static_cast<int>(fanouts.size()),
+      [&](int l, std::span<const NodeId> dst,
+          sampling::LayerSample* layer) -> Status {
+        const int fanout = fanouts[static_cast<size_t>(l)];
+        SGNN_CHECK_GE(fanout, 1);
+        // The in-memory sampler's engine draw and keyed per-destination
+        // draw, so the block does not depend on the shard grouping below.
+        const uint64_t layer_base = rng->engine()();
+        std::vector<sampling::DstEdges> edges(dst.size());
+        for (auto& bucket : by_shard) bucket.clear();
+        for (size_t i = 0; i < dst.size(); ++i) {
+          by_shard[static_cast<size_t>(graph->shard_of(dst[i]))].push_back(i);
+        }
+        // Shards in ascending order from this thread: a reproducible
+        // load/eviction sequence; draws fan out inside the pinned shard.
+        for (int s = 0; s < graph->num_shards(); ++s) {
+          const std::vector<size_t>& bucket = by_shard[static_cast<size_t>(s)];
+          if (bucket.empty()) continue;
+          auto pin_or = graph->PinShard(s);
+          if (!pin_or.ok()) return pin_or.status();
+          const PinnedShard& pin = pin_or.value();
+          sampling::FanOutDraws(
+              "storage.sample.node_wise", bucket.size(), [&](int64_t b) {
+                const size_t i = bucket[static_cast<size_t>(b)];
+                return sampling::DrawNodeWise(pin.Neighbors(dst[i]), dst[i],
+                                              fanout, layer_base, &edges[i]);
+              });
+        }
+        *layer = sampling::AssembleLayer(graph->num_nodes(), dst, edges);
+        return Status::OK();
+      });
 }
 
 }  // namespace sgnn::storage

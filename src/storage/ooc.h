@@ -14,19 +14,20 @@
 
 namespace sgnn::storage {
 
-/// Out-of-core counterparts of the in-memory kernels, streaming shards
+/// Out-of-core adapters over the in-memory kernels, streaming shards
 /// through the `ShardedGraph` cache instead of holding the adjacency
-/// resident.
+/// resident. None reimplements its kernel: propagation runs the shared
+/// `graph::SpmmRows`, push the shared `ppr::RunForwardPush` loop, and
+/// sampling the shared `sampling` layer frame, fan-out and node-wise draw.
+/// An adapter only decides which shard to pin and when.
 ///
-/// Bit-identity contract: each kernel reproduces its in-memory
-/// counterpart's arithmetic exactly — same per-row accumulation order,
-/// same double->float coefficient rounding, same keyed RNG draws — and a
-/// shard holds whole rows, so for any shard plan, any budget, and any
-/// `SGNN_THREADS` the outputs are byte-identical to the in-memory kernel
-/// on the same graph. Only the shard-fault/eviction counters change with
-/// the budget. Kernels orchestrate cache access from the calling thread
-/// (parallelism fans out *inside* a pinned shard), which also makes the
-/// load/eviction sequence deterministic.
+/// Bit-identity contract: same code on the same inputs. A shard holds
+/// whole rows with the in-memory adjacency order, so for any shard plan,
+/// any budget, and any `SGNN_THREADS` the outputs and op counters are
+/// byte-identical to the in-memory kernel on the same graph. Only the
+/// shard-fault/eviction counters change with the budget. Adapters pin
+/// from the calling thread (parallelism fans out *inside* a pinned
+/// shard), which also makes the load/eviction sequence deterministic.
 
 /// Out-of-core `graph::Propagator`: the O(num_edges) coefficient array is
 /// never materialised — each pinned shard's coefficients are computed
@@ -62,9 +63,10 @@ class OocPropagator {
   std::vector<float> self_loop_coeff_;  // Per node; empty if no self loops.
 };
 
-/// Out-of-core `ppr::ForwardPush`: identical queue traversal (and thus
-/// identical result and push/edge counts); neighbour reads pin the owning
-/// shard per push, degrees come from the resident index.
+/// Out-of-core `ppr::ForwardPush`: the same `ppr::RunForwardPush` loop,
+/// whose row visit pins the owning shard once per actual push; threshold
+/// tests read the resident degree index. A failed pin ends the push with
+/// its status.
 SGNN_NODISCARD common::StatusOr<ppr::PushResult> ForwardPush(ShardedGraph* graph,
                                               graph::NodeId source,
                                               double alpha, double r_max);
@@ -77,12 +79,12 @@ SGNN_NODISCARD common::StatusOr<std::vector<ppr::PushResult>> PushBatch(
     ShardedGraph* graph, std::span<const graph::NodeId> seeds, double alpha,
     double r_max);
 
-/// Out-of-core `sampling::SampleNodeWise`: same per-layer engine draw and
-/// per-destination keyed streams, so the batch is byte-identical to the
+/// Out-of-core `sampling::SampleNodeWise`: the same layer frame, per-layer
+/// engine draw, `sampling::DrawNodeWise` and `sampling::FanOutDraws`, so
+/// the batch and its `edges_touched` bill are byte-identical to the
 /// in-memory sampler with an equal-state `rng`. Destinations are grouped
-/// by shard and shards visited in ascending order; the keyed draws make
-/// the grouping invisible in the output. Bills `edges_touched` exactly as
-/// the in-memory sampler does.
+/// by shard and shards pinned in ascending order; the keyed draws make the
+/// grouping invisible in the output.
 SGNN_NODISCARD common::StatusOr<sampling::MiniBatch> SampleNodeWise(
     ShardedGraph* graph, std::span<const graph::NodeId> seeds,
     std::span<const int> fanouts, common::Rng* rng);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
+#include "common/counters.h"
+#include "common/rng.h"
+#include "graph/coo.h"
 #include "graph/generators.h"
 #include "graph/propagate.h"
 #include "ppr/feature_propagation.h"
@@ -91,6 +95,51 @@ TEST(ForwardPushTest, PushIsSublinearForLooseRmax) {
   CsrGraph g = graph::Rmat(1 << 14, 1 << 16, graph::RmatConfig{}, 2);
   PushResult push = ForwardPush(g, 0, 0.2, 1e-3);
   EXPECT_LT(push.edges_touched, g.num_edges() / 4);
+}
+
+/// Folds the 8 bytes of `word` into the FNV-1a-64 state `h`.
+uint64_t FnvFold(uint64_t h, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((word >> (8 * i)) & 0xff)) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Directed graph with skewed, weighted out-degrees and dangling nodes:
+/// the last 30 ids have in-edges but no out-edges, so pushes settle mass
+/// on them.
+CsrGraph SkewedDanglingGraph() {
+  const NodeId n = 300;
+  common::Rng rng(53);
+  graph::EdgeListBuilder edge_list(n);
+  for (int e = 0; e < 4000; ++e) {
+    const double r = rng.Uniform(0.0, 1.0);
+    const NodeId u = static_cast<NodeId>(r * r * r * (n - 30));
+    const NodeId v = static_cast<NodeId>(rng.Uniform(0.0, n));
+    edge_list.AddEdge(u, v, static_cast<float>(rng.Uniform(0.1, 2.0)));
+  }
+  return CsrGraph::FromBuilder(std::move(edge_list));
+}
+
+// Bit pin of forward push, recorded before the out-of-core push was ported
+// onto the shared loop: estimate (node, mass bits), push count and edges
+// touched for 3 sources x 2 thresholds.
+TEST(ForwardPushTest, OutputBitsArePinned) {
+  const CsrGraph g = SkewedDanglingGraph();
+  uint64_t h = 1469598103934665603ull;
+  for (const NodeId source : {NodeId{0}, NodeId{17}, NodeId{280}}) {
+    for (const double r_max : {1e-3, 1e-5}) {
+      const PushResult push = ForwardPush(g, source, 0.15, r_max);
+      h = FnvFold(h, static_cast<uint64_t>(push.pushes));
+      h = FnvFold(h, static_cast<uint64_t>(push.edges_touched));
+      h = FnvFold(h, push.estimate.size());
+      for (const auto& [v, mass] : push.estimate) {
+        h = FnvFold(h, v);
+        h = FnvFold(h, std::bit_cast<uint64_t>(mass));
+      }
+    }
+  }
+  EXPECT_EQ(h, 10888723801184105073ull);
 }
 
 TEST(PowerIterationTest, SumsToOne) {
@@ -209,6 +258,21 @@ TEST(ThresholdedPropagateTest, ThresholdSkipsOpsWithBoundedError) {
   EXPECT_GT(stats.ops_performed, 0);
   // Unifews-style claim: large op savings, small embedding perturbation.
   EXPECT_LT(tensor::MaxAbsDiff(dense, sparse), 0.05);
+}
+
+TEST(ThresholdedPropagateTest, BillsEveryEdgePerHop) {
+  // Pruning skips multiply-adds, not adjacency reads: each hop walks every
+  // edge, so the bill is hops x num_edges at any threshold.
+  CsrGraph g = graph::BarabasiAlbert(300, 4, 31);
+  graph::Propagator prop(g, graph::Normalization::kSymmetric, true);
+  common::Rng rng(4);
+  Matrix x = Matrix::Gaussian(300, 8, 0, 1, &rng);
+  for (const double threshold : {0.0, 1e-3}) {
+    common::ScopedCounterDelta scope;
+    ThresholdedPropagate(prop, x, 0.2, 4, threshold);
+    EXPECT_EQ(scope.Delta().edges_touched,
+              4 * static_cast<uint64_t>(g.num_edges()));
+  }
 }
 
 TEST(FeaturePushTest, MatchesDenseColumnStochasticFixedPoint) {

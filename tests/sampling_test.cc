@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 #include <unordered_set>
@@ -276,6 +277,46 @@ TEST(AssembleLayerTest, MatchesReferenceOnRandomEdgeLists) {
     ExpectLayersEqual(AssembleLayer(num_nodes, dst, edges),
                       ReferenceAssemble(dst, edges));
   }
+}
+
+// ----------------------------------------------------------- bit pins
+
+/// FNV-1a-64 over every field of every layer of `batch`, innermost first.
+uint64_t BatchBits(const MiniBatch& batch) {
+  uint64_t h = 1469598103934665603ull;
+  auto fold = [&h](uint64_t word, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h = (h ^ ((word >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  for (const LayerSample& layer : batch.layers) {
+    fold(layer.dst.size(), 8);
+    for (NodeId v : layer.dst) fold(v, 4);
+    fold(layer.src.size(), 8);
+    for (NodeId v : layer.src) fold(v, 4);
+    for (graph::EdgeIndex o : layer.offsets) fold(static_cast<uint64_t>(o), 8);
+    for (uint32_t idx : layer.src_local) fold(idx, 4);
+    for (float w : layer.weights) fold(std::bit_cast<uint32_t>(w), 4);
+  }
+  return h;
+}
+
+// Bit pins of the four in-memory samplers, recorded before they moved onto
+// the shared layer frame and fan-out helper.
+TEST(SamplerPinTest, BatchBitsArePinned) {
+  const CsrGraph g = graph::BarabasiAlbert(600, 6, 3);
+  const std::vector<NodeId> seeds = FirstSeeds(80);
+  const std::vector<int> fanouts = {4, 3};
+  const std::vector<int> sizes = {96, 64};
+  common::Rng rng(5);
+  EXPECT_EQ(BatchBits(SampleNodeWise(g, seeds, fanouts, &rng)),
+            4640876435328735687ull);
+  EXPECT_EQ(BatchBits(SampleLabor(g, seeds, fanouts, &rng)),
+            2036287796366836608ull);
+  EXPECT_EQ(BatchBits(SampleLayerWise(g, seeds, sizes, &rng)),
+            16835266759832233853ull);
+  EXPECT_EQ(BatchBits(FullNeighborhood(g, seeds, 2)),
+            9804555791869760288ull);
 }
 
 // ----------------------------------------------------------- billing

@@ -505,6 +505,36 @@ TEST(CacheTest, EvictionSequenceIsThreadCountInvariant) {
   std::filesystem::remove_all(dir);
 }
 
+// Load/eviction pin of out-of-core push then sampling at the tiny budget,
+// recorded before both kernels were ported onto the shared in-memory
+// loops: the port must not move a single pin.
+TEST(CacheTest, PushThenSampleLoadSequenceIsPinned) {
+  const CsrGraph g = graph::ErdosRenyi(300, 1800, 13);
+  const std::string dir = NewDir("pin_sequence");
+  ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 5), dir).ok());
+  OpenOptions options;
+  options.budget_bytes = kUnlimitedBudget;
+  auto probe_or = ShardedGraph::Open(dir, options);
+  ASSERT_TRUE(probe_or.ok());
+  options.budget_bytes = MaxShardBytes(*probe_or.value());
+  probe_or.value().reset();
+  auto open_or = ShardedGraph::Open(dir, options);
+  ASSERT_TRUE(open_or.ok()) << open_or.status().message();
+  ShardedGraph& sg = *open_or.value();
+  const std::vector<NodeId> seeds = {0, 7, 42, 131, 256, 299};
+  ASSERT_TRUE(PushBatch(&sg, seeds, 0.2, 1e-4).ok());
+  const StorageStats after_push = sg.stats();
+  EXPECT_EQ(after_push.loads, 3842u);
+  EXPECT_EQ(after_push.evictions, 3841u);
+  const std::vector<int> fanouts = {3, 2};
+  common::Rng rng(1234);
+  ASSERT_TRUE(SampleNodeWise(&sg, seeds, fanouts, &rng).ok());
+  const StorageStats after_sample = sg.stats();
+  EXPECT_EQ(after_sample.loads, 3849u);
+  EXPECT_EQ(after_sample.evictions, 3848u);
+  std::filesystem::remove_all(dir);
+}
+
 /// The acceptance gate: propagate + PPR + sampling over a ShardedGraph
 /// whose budget is far below the total shard bytes, bit-identical to the
 /// in-memory kernels, at tiny and unlimited budgets x 1 and 8 threads.
@@ -727,6 +757,46 @@ TEST(CountersTest, OutOfCoreSamplerBillsLikeInMemory) {
     auto batch_or = SampleNodeWise(open_or.value().get(), seeds, fanouts, &rng);
     ASSERT_TRUE(batch_or.ok());
     EXPECT_EQ(scope.Delta().edges_touched, in_memory_edges);
+  }
+  par::SetThreads(saved_threads);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CountersTest, OutOfCorePushBillsLikeInMemory) {
+  const CsrGraph g = graph::BarabasiAlbert(400, 6, 17);
+  const std::string dir = NewDir("push_billing");
+  ASSERT_TRUE(WriteShardedGraph(g, ShardPlan::Contiguous(g, 4), dir).ok());
+  const std::vector<NodeId> seeds = {0, 3, 19, 77, 150, 201, 333, 399};
+  common::ScopedCounterDelta in_memory_scope;
+  const std::vector<ppr::PushResult> expected =
+      ppr::PushBatch(g, seeds, 0.15, 1e-4);
+  const uint64_t in_memory_edges = in_memory_scope.Delta().edges_touched;
+  uint64_t summed = 0;
+  for (const ppr::PushResult& r : expected) {
+    summed += static_cast<uint64_t>(r.edges_touched);
+  }
+  EXPECT_EQ(in_memory_edges, summed);
+
+  OpenOptions probe;
+  probe.budget_bytes = kUnlimitedBudget;
+  auto probe_or = ShardedGraph::Open(dir, probe);
+  ASSERT_TRUE(probe_or.ok());
+  const uint64_t tiny = MaxShardBytes(*probe_or.value());
+  probe_or.value().reset();
+
+  const int saved_threads = par::NumThreads();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    par::SetThreads(threads);
+    OpenOptions options;
+    options.budget_bytes = tiny;
+    auto open_or = ShardedGraph::Open(dir, options);
+    ASSERT_TRUE(open_or.ok());
+    common::ScopedCounterDelta scope;
+    auto results_or = PushBatch(open_or.value().get(), seeds, 0.15, 1e-4);
+    ASSERT_TRUE(results_or.ok());
+    EXPECT_EQ(scope.Delta().edges_touched, in_memory_edges);
+    EXPECT_GT(open_or.value()->stats().evictions, 0u);
   }
   par::SetThreads(saved_threads);
   std::filesystem::remove_all(dir);

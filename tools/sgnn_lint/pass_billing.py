@@ -4,10 +4,10 @@ visible.
 The scalability claims are stated in OpCounters units (edges touched,
 floats moved, resident bytes), not wall clock -- see common/counters.h. A
 translation unit under the kernel directories (src/graph, src/par,
-src/sampling, src/storage, src/dist) that traverses adjacency but never
-references the OpCounters API has silently opted out of that accounting:
-its work is invisible to ScopedCounterDelta regions, pipeline report
-rows, and the obs gauge exports.
+src/ppr, src/sampling, src/storage, src/dist) that traverses adjacency but
+never references the OpCounters API has silently opted out of that
+accounting: its work is invisible to ScopedCounterDelta regions, pipeline
+report rows, and the obs gauge exports.
 
 Traversal is recognised by any of:
   * a range-for over `Neighbors(...)` (the CSR adjacency accessor),
@@ -16,6 +16,11 @@ Traversal is recognised by any of:
   * read-side indexing of a CSR neighbour array (`neighbors[`; the
     write-side build arrays are named `neighbors_` and do not match),
   * a for-loop bounded by `num_edges()`.
+
+A call to `FanOutDraws` counts as a reference: it is the sampling layer's
+destination fan-out (sampling/assembly.h), which bills every draw's
+adjacency reads per shard, so a sampler whose loops all run inside it is
+billed.
 
 The finding is per-TU (first traversal loop reported): the fix is to bill
 the loop, not to sprinkle counters on every line.
@@ -35,8 +40,8 @@ RULES = [
         fixture_rel="src/graph/fixture.cc"),
 ]
 
-KERNEL_PREFIXES = ("src/graph/", "src/par/", "src/sampling/", "src/storage/",
-                   "src/dist/")
+KERNEL_PREFIXES = ("src/graph/", "src/par/", "src/ppr/", "src/sampling/",
+                   "src/storage/", "src/dist/")
 
 TRAVERSAL_PATTERNS = [
     ("range-for over Neighbors()",
@@ -51,7 +56,7 @@ TRAVERSAL_PATTERNS = [
 
 COUNTER_REF_RE = re.compile(
     r"\b(?:GlobalCounters|OpCounters|ScopedCounterDelta|"
-    r"AggregateThreadCounters|SnapshotThreadCounters)\b")
+    r"AggregateThreadCounters|SnapshotThreadCounters|FanOutDraws)\b")
 
 
 def check_file(sf, kernel_tu=None):
