@@ -1,10 +1,7 @@
 #include "core/coarse_flow.h"
 
-#include "common/timer.h"
 #include "graph/propagate.h"
 #include "models/gcn.h"
-#include "nn/loss.h"
-#include "nn/optimizer.h"
 
 namespace sgnn::core {
 
@@ -14,8 +11,7 @@ using tensor::Matrix;
 CoarseTrainResult TrainOnCoarseGraph(const Dataset& dataset,
                                      double target_ratio,
                                      const nn::TrainConfig& config) {
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const models::FitMeter meter;
   common::Rng rng(config.seed);
 
   coarsen::Coarsening coarsening =
@@ -33,33 +29,23 @@ CoarseTrainResult TrainOnCoarseGraph(const Dataset& dataset,
                                 graph::Normalization::kSymmetric, true);
   models::Gcn model(coarse_x.cols(), config.hidden_dim, dataset.num_classes,
                     config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  models::EarlyStopTracker tracker(config.patience);
+  auto epoch = [&](nn::EpochSteps* steps) {
+    model.ZeroGrad();
+    steps->Step(model.TrainStep(coarse_prop, coarse_x, coarse_labels,
+                                coarse_splits.train, {}, &rng));
+  };
+  // Lift coarse logits to fine nodes and score on the FINE splits.
+  auto eval = [&] {
+    return coarsen::LiftFeatures(coarsening,
+                                 model.Predict(coarse_prop, coarse_x));
+  };
 
   CoarseTrainResult result;
   result.coarse_nodes = coarsening.num_coarse();
-  result.model.name = "coarse_gcn";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    model.ZeroGrad();
-    result.model.report.final_train_loss = model.TrainStep(
-        coarse_prop, coarse_x, coarse_labels, coarse_splits.train, &rng);
-    opt.Step();
-    result.model.report.epochs_run = epoch + 1;
-
-    // Lift coarse logits to fine nodes and score on the FINE splits.
-    Matrix coarse_logits = model.Predict(coarse_prop, coarse_x);
-    Matrix fine_logits = coarsen::LiftFeatures(coarsening, coarse_logits);
-    const double val =
-        nn::Accuracy(fine_logits, dataset.labels, dataset.splits.val);
-    const double test =
-        nn::Accuracy(fine_logits, dataset.labels, dataset.splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.model.report.best_val_accuracy = tracker.best_val();
-  result.model.report.test_accuracy = tracker.test_at_best();
-  result.model.report.train_seconds = timer.Seconds();
-  result.model.ops = counters.Delta();
+  result.model = meter.Finish(
+      "coarse_gcn", nn::Fit(model.Params(), dataset.labels,
+                            dataset.splits.val, dataset.splits.test, config,
+                            epoch, eval));
   result.spectral_distortion =
       coarsen::SpectralDistortion(dataset.graph, coarsening, 4, config.seed);
   return result;

@@ -46,12 +46,6 @@ float CsrGraph::EdgeWeight(NodeId u, NodeId v) const {
   return Weights(u)[static_cast<size_t>(it - nbrs.begin())];
 }
 
-double CsrGraph::WeightedDegree(NodeId u) const {
-  double acc = 0.0;
-  for (float w : Weights(u)) acc += w;
-  return acc;
-}
-
 std::vector<Edge> CsrGraph::ToEdges() const {
   std::vector<Edge> out;
   out.reserve(static_cast<size_t>(num_edges()));

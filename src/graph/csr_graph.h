@@ -10,6 +10,15 @@
 
 namespace sgnn::graph {
 
+/// Weighted degree of one adjacency row: its float weights accumulated
+/// into a double in adjacency order. The one definition of that sum, so
+/// every degree table (in-memory, out-of-core, PPR push) rounds alike.
+inline double WeightSum(std::span<const float> weights) {
+  double acc = 0.0;
+  for (float w : weights) acc += w;
+  return acc;
+}
+
 /// Immutable compressed-sparse-row graph: the frozen adjacency every other
 /// module consumes. Adjacency lists are sorted by destination id, enabling
 /// O(log d) `HasEdge` and deterministic iteration.
@@ -59,8 +68,8 @@ class CsrGraph {
   /// Weight of edge (u, v), or 0 if absent.
   float EdgeWeight(NodeId u, NodeId v) const;
 
-  /// Sum of weights of u's out-edges.
-  double WeightedDegree(NodeId u) const;
+  /// Sum of weights of u's out-edges (`WeightSum` of the row).
+  double WeightedDegree(NodeId u) const { return WeightSum(Weights(u)); }
 
   /// All edges in (src-major, dst-minor) order; for round-tripping and
   /// edit pipelines.

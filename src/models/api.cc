@@ -1,5 +1,8 @@
 #include "models/api.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/check.h"
 #include "common/rng.h"
 
@@ -26,6 +29,20 @@ NodeSplits MakeSplits(graph::NodeId num_nodes, double train_frac,
   SGNN_CHECK(!splits.val.empty());
   SGNN_CHECK(!splits.test.empty());
   return splits;
+}
+
+int NumClasses(std::span<const int> labels) {
+  return 1 + *std::max_element(labels.begin(), labels.end());
+}
+
+ModelResult FitMeter::Finish(std::string name,
+                             const nn::TrainReport& report) const {
+  ModelResult result;
+  result.name = std::move(name);
+  result.report = report;
+  result.report.train_seconds = timer_.Seconds();
+  result.ops = counters_.Delta();
+  return result;
 }
 
 }  // namespace sgnn::models

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/counters.h"
+#include "common/timer.h"
 #include "graph/csr_graph.h"
 #include "nn/trainer.h"
 #include "tensor/matrix.h"
@@ -39,31 +41,22 @@ struct ModelResult {
   std::shared_ptr<nn::Mlp> fitted_head;
 };
 
-/// Tracks the best validation accuracy and the test accuracy achieved at
-/// that point; signals early stop after `patience` non-improving updates.
-class EarlyStopTracker {
+/// The early-stop policy lives beside `nn::Fit`, the one epoch loop.
+using nn::EarlyStopTracker;
+
+/// Number of classes of a label vector: one past the largest label.
+int NumClasses(std::span<const int> labels);
+
+/// Meters one trainer call: the wall timer and the counter delta start at
+/// construction (the trainer's entry, before any preprocessing), and
+/// `Finish` stamps both onto the trainer's report.
+class FitMeter {
  public:
-  explicit EarlyStopTracker(int patience) : patience_(patience) {}
-
-  /// Returns true when training should stop.
-  bool Update(double val_accuracy, double test_accuracy) {
-    if (val_accuracy > best_val_) {
-      best_val_ = val_accuracy;
-      test_at_best_ = test_accuracy;
-      since_best_ = 0;
-      return false;
-    }
-    return ++since_best_ >= patience_;
-  }
-
-  double best_val() const { return best_val_; }
-  double test_at_best() const { return test_at_best_; }
+  ModelResult Finish(std::string name, const nn::TrainReport& report) const;
 
  private:
-  int patience_;
-  int since_best_ = 0;
-  double best_val_ = 0.0;
-  double test_at_best_ = 0.0;
+  common::ScopedCounterDelta counters_;
+  common::WallTimer timer_;
 };
 
 }  // namespace sgnn::models

@@ -4,11 +4,9 @@
 
 #include "algebra/implicit.h"
 #include "common/check.h"
-#include "common/timer.h"
 #include "graph/propagate.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
-#include "nn/optimizer.h"
 #include "ppr/feature_propagation.h"
 #include "ppr/ppr.h"
 #include "spectral/embeddings.h"
@@ -21,30 +19,21 @@ using tensor::Matrix;
 
 namespace {
 
-int NumClasses(std::span<const int> labels) {
-  return 1 + *std::max_element(labels.begin(), labels.end());
-}
-
 /// Shared tail for precompute-style models: train an MLP head on fixed
 /// embeddings and package the result, keeping the fitted head so the run
 /// can be frozen into an inference artifact (`serve::FrozenModel`).
 ModelResult FitHead(const char* name, const Matrix& embeddings,
                     std::span<const int> labels, const NodeSplits& splits,
-                    const nn::TrainConfig& config,
-                    common::ScopedCounterDelta* counters,
-                    common::WallTimer* timer) {
+                    const nn::TrainConfig& config, const FitMeter& meter) {
   common::Rng rng(config.seed);
   auto head = std::make_shared<nn::Mlp>(
       std::vector<int64_t>{embeddings.cols(), config.hidden_dim,
                            static_cast<int64_t>(NumClasses(labels))},
       config.dropout, &rng);
-  ModelResult result;
-  result.name = name;
-  result.report = nn::TrainMlpOnEmbeddings(head.get(), embeddings, labels,
-                                           splits.train, splits.val,
-                                           splits.test, config);
-  result.report.train_seconds = timer->Seconds();
-  result.ops = counters->Delta();
+  ModelResult result = meter.Finish(
+      name, nn::TrainMlpOnEmbeddings(head.get(), embeddings, labels,
+                                     splits.train, splits.val, splits.test,
+                                     config));
   result.fitted_head = std::move(head);
   return result;
 }
@@ -54,12 +43,10 @@ ModelResult FitHead(const char* name, const Matrix& embeddings,
 ModelResult TrainSgc(const graph::CsrGraph& graph, const Matrix& x,
                      std::span<const int> labels, const NodeSplits& splits,
                      const nn::TrainConfig& config, const SgcConfig& sgc) {
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   Propagator prop(graph, graph::Normalization::kSymmetric, true);
   Matrix embeddings = graph::PropagateKHops(prop, x, sgc.hops);
-  return FitHead("sgc", embeddings, labels, splits, config, &counters,
-                 &timer);
+  return FitHead("sgc", embeddings, labels, splits, config, meter);
 }
 
 ModelResult TrainSpectralDecoupled(const graph::CsrGraph& graph,
@@ -68,8 +55,7 @@ ModelResult TrainSpectralDecoupled(const graph::CsrGraph& graph,
                                    const NodeSplits& splits,
                                    const nn::TrainConfig& config,
                                    const SpectralDecoupledConfig& spectral) {
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   Propagator prop(graph, graph::Normalization::kSymmetric, true);
   spectral::CombinedEmbeddingConfig embed;
   embed.hops = spectral.hops;
@@ -77,7 +63,7 @@ ModelResult TrainSpectralDecoupled(const graph::CsrGraph& graph,
   embed.include_high_pass = spectral.include_high_pass;
   Matrix embeddings = spectral::CombinedEmbeddings(prop, x, embed);
   return FitHead("spectral_decoupled", embeddings, labels, splits, config,
-                 &counters, &timer);
+                 meter);
 }
 
 ModelResult TrainLabelProp(const graph::CsrGraph& graph, const Matrix& x,
@@ -88,8 +74,7 @@ ModelResult TrainLabelProp(const graph::CsrGraph& graph, const Matrix& x,
   (void)x;  // Feature-free by design.
   SGNN_CHECK(lp.alpha > 0.0 && lp.alpha <= 1.0);
   SGNN_CHECK_GE(lp.iterations, 1);
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   const int num_classes = NumClasses(labels);
 
   Propagator prop(graph, graph::Normalization::kSymmetric, true);
@@ -112,23 +97,19 @@ ModelResult TrainLabelProp(const graph::CsrGraph& graph, const Matrix& x,
     }
   }
 
-  ModelResult result;
-  result.name = "label_prop";
-  result.report.epochs_run = lp.iterations;
-  result.report.best_val_accuracy = nn::Accuracy(y, labels, splits.val);
-  result.report.test_accuracy = nn::Accuracy(y, labels, splits.test);
-  result.report.train_seconds = timer.Seconds();
+  nn::TrainReport report;
+  report.epochs_run = lp.iterations;
+  report.best_val_accuracy = nn::Accuracy(y, labels, splits.val);
+  report.test_accuracy = nn::Accuracy(y, labels, splits.test);
   (void)config;
-  result.ops = counters.Delta();
-  return result;
+  return meter.Finish("label_prop", report);
 }
 
 ModelResult TrainPprgo(const graph::CsrGraph& graph, const Matrix& x,
                        std::span<const int> labels, const NodeSplits& splits,
                        const nn::TrainConfig& config,
                        const PprgoConfig& pprgo) {
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   // Per-node sparse propagation: embedding(u) = sum over u's top-k PPR
   // neighbours v of pi_u(v) * x[v]. Push cost is independent of n for
   // fixed alpha/r_max, which is PPRGo's scalability argument.
@@ -143,16 +124,14 @@ ModelResult TrainPprgo(const graph::CsrGraph& graph, const Matrix& x,
       }
     }
   }
-  return FitHead("pprgo", embeddings, labels, splits, config, &counters,
-                 &timer);
+  return FitHead("pprgo", embeddings, labels, splits, config, meter);
 }
 
 ModelResult TrainSign(const graph::CsrGraph& graph, const Matrix& x,
                       std::span<const int> labels, const NodeSplits& splits,
                       const nn::TrainConfig& config, const SignConfig& sign) {
   SGNN_CHECK_GE(sign.hops, 1);
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   Propagator prop(graph, graph::Normalization::kSymmetric, true);
   Matrix embeddings = x;
   Matrix hop = x;
@@ -162,8 +141,7 @@ ModelResult TrainSign(const graph::CsrGraph& graph, const Matrix& x,
     hop = std::move(next);
     embeddings = tensor::ConcatCols(embeddings, hop);
   }
-  return FitHead("sign", embeddings, labels, splits, config, &counters,
-                 &timer);
+  return FitHead("sign", embeddings, labels, splits, config, meter);
 }
 
 ModelResult TrainImplicit(const graph::CsrGraph& graph, const Matrix& x,
@@ -171,8 +149,7 @@ ModelResult TrainImplicit(const graph::CsrGraph& graph, const Matrix& x,
                           const NodeSplits& splits,
                           const nn::TrainConfig& config,
                           const ImplicitConfig& implicit) {
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   Propagator prop(graph, graph::Normalization::kSymmetric, true);
   Matrix equilibrium = algebra::MultiscaleImplicit(
       prop, x, implicit.gamma, implicit.scales, implicit.tol,
@@ -180,64 +157,49 @@ ModelResult TrainImplicit(const graph::CsrGraph& graph, const Matrix& x,
   // Scale the equilibrium to unit rows: Neumann magnitudes grow with
   // 1/(1-gamma) and would otherwise dominate the head's init scale.
   tensor::NormalizeRows(2, &equilibrium);
-  return FitHead("implicit", equilibrium, labels, splits, config, &counters,
-                 &timer);
+  return FitHead("implicit", equilibrium, labels, splits, config, meter);
 }
 
 ModelResult TrainAppnp(const graph::CsrGraph& graph, const Matrix& x,
                        std::span<const int> labels, const NodeSplits& splits,
                        const nn::TrainConfig& config,
                        const AppnpConfig& appnp) {
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   common::Rng rng(config.seed);
   const int num_classes = NumClasses(labels);
   Propagator prop(graph, graph::Normalization::kSymmetric, true);
   nn::Mlp mlp({x.cols(), config.hidden_dim,
                static_cast<int64_t>(num_classes)},
               config.dropout, &rng);
-  nn::Adam opt(mlp.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
 
-  ModelResult result;
-  result.name = "appnp";
   // APPNP trains full-batch: MLP activations plus propagated logits are
   // resident for every node (the memory profile that motivates PPRGo's
   // per-node sparse variant).
   const uint64_t resident = static_cast<uint64_t>(
       2 * x.rows() * (config.hidden_dim + num_classes));
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto epoch = [&](nn::EpochSteps* steps) {
     common::GlobalCounters().Acquire(resident);
     Matrix h;
     mlp.Forward(x, /*training=*/true, &rng, &h);
-    Matrix logits =
-        ppr::AppnpPropagate(prop, h, appnp.alpha, appnp.hops);
+    Matrix logits = ppr::AppnpPropagate(prop, h, appnp.alpha, appnp.hops);
     Matrix dlogits;
-    result.report.final_train_loss =
+    const double loss =
         nn::SoftmaxCrossEntropy(logits, labels, splits.train, &dlogits);
     // The propagation operator P = sum_k alpha(1-alpha)^k S^k is symmetric,
     // so dH = P dlogits is computed by the same routine.
     Matrix dh = ppr::AppnpPropagate(prop, dlogits, appnp.alpha, appnp.hops);
     mlp.ZeroGrad();
     mlp.Backward(dh, nullptr);
-    opt.Step();
+    steps->Step(loss);
     common::GlobalCounters().Release(resident);
-    result.report.epochs_run = epoch + 1;
-
-    Matrix h_eval;
-    mlp.Forward(x, /*training=*/false, nullptr, &h_eval);
-    Matrix eval_logits =
-        ppr::AppnpPropagate(prop, h_eval, appnp.alpha, appnp.hops);
-    const double val = nn::Accuracy(eval_logits, labels, splits.val);
-    const double test = nn::Accuracy(eval_logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
-  result.report.train_seconds = timer.Seconds();
-  result.ops = counters.Delta();
-  return result;
+  };
+  auto eval = [&] {
+    Matrix h;
+    mlp.Forward(x, /*training=*/false, nullptr, &h);
+    return ppr::AppnpPropagate(prop, h, appnp.alpha, appnp.hops);
+  };
+  return meter.Finish("appnp", nn::Fit(mlp.Params(), labels, splits.val,
+                                       splits.test, config, epoch, eval));
 }
 
 }  // namespace sgnn::models

@@ -1,11 +1,7 @@
 #include "models/gcn.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/timer.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace sgnn::models {
@@ -22,15 +18,8 @@ Gcn::Gcn(int64_t in_dim, int64_t hidden_dim, int64_t out_dim, double dropout,
 double Gcn::TrainStep(const Propagator& prop, const Matrix& x,
                       std::span<const int> labels,
                       std::span<const graph::NodeId> loss_rows,
+                      std::span<const float> loss_weights,
                       common::Rng* rng) {
-  return TrainStepWeighted(prop, x, labels, loss_rows, {}, rng);
-}
-
-double Gcn::TrainStepWeighted(const Propagator& prop, const Matrix& x,
-                              std::span<const int> labels,
-                              std::span<const graph::NodeId> loss_rows,
-                              std::span<const float> loss_weights,
-                              common::Rng* rng) {
   // Resident-activation accounting for the E13 memory comparison: a
   // full-batch step materialises hidden and logit activations (and their
   // gradients) for every node of the graph passed in.
@@ -98,40 +87,51 @@ std::vector<nn::ParamRef> Gcn::Params() {
   return params;
 }
 
+std::vector<graph::NodeId> LocalTrainRows(std::span<const graph::NodeId> nodes,
+                                          const std::vector<bool>& is_train) {
+  std::vector<graph::NodeId> local;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (is_train[nodes[i]]) local.push_back(static_cast<graph::NodeId>(i));
+  }
+  return local;
+}
+
+void StepOnSubgraph(Gcn* model, const graph::CsrGraph& sub,
+                    std::span<const graph::NodeId> nodes,
+                    std::span<const graph::NodeId> local_train,
+                    std::span<const float> loss_weights, const Matrix& x,
+                    std::span<const int> labels, nn::EpochSteps* steps,
+                    common::Rng* rng) {
+  const Propagator sub_prop(sub, graph::Normalization::kSymmetric, true);
+  const std::vector<int64_t> gather(nodes.begin(), nodes.end());
+  const Matrix sub_x = x.GatherRows(gather);
+  // Batch features are resident alongside the activations that
+  // `Gcn::TrainStep` accounts for itself.
+  const uint64_t resident = static_cast<uint64_t>(sub_x.size());
+  common::GlobalCounters().Acquire(resident);
+  std::vector<int> sub_labels(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) sub_labels[i] = labels[nodes[i]];
+  model->ZeroGrad();
+  steps->Step(model->TrainStep(sub_prop, sub_x, sub_labels, local_train,
+                               loss_weights, rng));
+  common::GlobalCounters().Release(resident);
+}
+
 ModelResult TrainGcn(const graph::CsrGraph& graph, const Matrix& x,
                      std::span<const int> labels, const NodeSplits& splits,
                      const nn::TrainConfig& config, const GcnConfig& gcn) {
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
+  const FitMeter meter;
   common::Rng rng(config.seed);
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
-
   Propagator prop(graph, graph::Normalization::kSymmetric, gcn.self_loops);
-  Gcn model(x.cols(), config.hidden_dim, num_classes, config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
-
-  ModelResult result;
-  result.name = "gcn";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  Gcn model(x.cols(), config.hidden_dim, NumClasses(labels), config.dropout,
+            &rng);
+  auto epoch = [&](nn::EpochSteps* steps) {
     model.ZeroGrad();
-    result.report.final_train_loss =
-        model.TrainStep(prop, x, labels, splits.train, &rng);
-    opt.Step();
-    result.report.epochs_run = epoch + 1;
-
-    Matrix logits = model.Predict(prop, x);
-    const double val = nn::Accuracy(logits, labels, splits.val);
-    const double test = nn::Accuracy(logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
-  result.report.train_seconds = timer.Seconds();
-  result.ops = counters.Delta();
-  return result;
+    steps->Step(model.TrainStep(prop, x, labels, splits.train, {}, &rng));
+  };
+  auto eval = [&] { return model.Predict(prop, x); };
+  return meter.Finish("gcn", nn::Fit(model.Params(), labels, splits.val,
+                                     splits.test, config, epoch, eval));
 }
 
 }  // namespace sgnn::models

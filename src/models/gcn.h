@@ -2,6 +2,7 @@
 #define SGNN_MODELS_GCN_H_
 
 #include <span>
+#include <vector>
 
 #include "graph/propagate.h"
 #include "models/api.h"
@@ -23,18 +24,12 @@ class Gcn {
   /// backward; gradients accumulate in the layers). Returns the loss.
   /// `prop` must be the kSymmetric operator of the training graph (any
   /// graph whose node count matches `x`; Cluster-GCN passes subgraphs).
+  /// `loss_weights` (aligned with `loss_rows`; empty = unweighted) are
+  /// per-row loss weights, e.g. GraphSAINT's inclusion normalisation.
   double TrainStep(const graph::Propagator& prop, const tensor::Matrix& x,
                    std::span<const int> labels,
-                   std::span<const graph::NodeId> loss_rows, common::Rng* rng);
-
-  /// As `TrainStep` but with per-row loss weights (GraphSAINT inclusion
-  /// normalisation). `loss_weights` aligns with `loss_rows`.
-  double TrainStepWeighted(const graph::Propagator& prop,
-                           const tensor::Matrix& x,
-                           std::span<const int> labels,
-                           std::span<const graph::NodeId> loss_rows,
-                           std::span<const float> loss_weights,
-                           common::Rng* rng);
+                   std::span<const graph::NodeId> loss_rows,
+                   std::span<const float> loss_weights, common::Rng* rng);
 
   /// Inference logits (no dropout).
   tensor::Matrix Predict(const graph::Propagator& prop,
@@ -48,6 +43,23 @@ class Gcn {
   nn::Linear l1_;
   double dropout_;
 };
+
+/// Local rows (indices into `nodes`) of the batch nodes in `is_train`.
+std::vector<graph::NodeId> LocalTrainRows(std::span<const graph::NodeId> nodes,
+                                          const std::vector<bool>& is_train);
+
+/// One GCN step on a subgraph batch — Cluster-GCN's merged parts and
+/// GraphSAINT's sampled subgraphs. `sub` is the batch's induced subgraph,
+/// whose row i is global node `nodes[i]`; the loss is over `local_train`
+/// weighted by `loss_weights` (as `Gcn::TrainStep`). Gathers the batch's
+/// feature rows and labels, bills the features as resident for the step,
+/// and ends in `steps->Step`.
+void StepOnSubgraph(Gcn* model, const graph::CsrGraph& sub,
+                    std::span<const graph::NodeId> nodes,
+                    std::span<const graph::NodeId> local_train,
+                    std::span<const float> loss_weights,
+                    const tensor::Matrix& x, std::span<const int> labels,
+                    nn::EpochSteps* steps, common::Rng* rng);
 
 /// Full-batch GCN training with early stopping on validation accuracy.
 struct GcnConfig {

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/timer.h"
 #include "graph/metrics.h"
 #include "nn/attention.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace sgnn::models {
@@ -43,10 +41,7 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
                                   const NodeSplits& splits,
                                   const nn::TrainConfig& config,
                                   const GraphTransformerConfig& gt) {
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   common::Rng rng(config.seed);
 
   // Preprocessing (DHIL-GT's decoupled part): anchors + SPD bias table;
@@ -97,12 +92,10 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
   // Model: anchor attention + skip, ReLU, linear head.
   nn::AnchorAttention attention(tokens.cols(), config.hidden_dim, &rng);
   nn::Linear skip(tokens.cols(), config.hidden_dim, &rng);
-  nn::Linear head(config.hidden_dim, num_classes, &rng);
+  nn::Linear head(config.hidden_dim, NumClasses(labels), &rng);
   std::vector<nn::ParamRef> params = attention.Params();
   for (const auto& p : skip.Params()) params.push_back(p);
   for (const auto& p : head.Params()) params.push_back(p);
-  nn::Adam opt(params, config.lr, 0.9, 0.999, 1e-8, config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
 
   auto forward = [&](bool training, Matrix* pre, Matrix* hidden,
                      Matrix* logits) {
@@ -117,14 +110,11 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
     head.Forward(attn_out, logits);
   };
 
-  ModelResult result;
-  result.name = gt.spd_beta != 0.0 ? "graph_transformer"
-                                   : "graph_transformer_nobias";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto epoch = [&](nn::EpochSteps* steps) {
     Matrix pre, hidden, logits;
     forward(/*training=*/true, &pre, &hidden, &logits);
     Matrix dlogits;
-    result.report.final_train_loss =
+    const double loss =
         nn::SoftmaxCrossEntropy(logits, labels, splits.train, &dlogits);
 
     attention.ZeroGrad();
@@ -138,20 +128,17 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
     // feature rows, not parameters).
     skip.Backward(tokens, dhidden, nullptr);
     attention.Backward(dhidden, nullptr, nullptr);
-    opt.Step();
-    result.report.epochs_run = epoch + 1;
-
-    Matrix eval_logits;
-    forward(/*training=*/false, nullptr, nullptr, &eval_logits);
-    const double val = nn::Accuracy(eval_logits, labels, splits.val);
-    const double test = nn::Accuracy(eval_logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
-  result.report.train_seconds = timer.Seconds();
-  result.ops = counters.Delta();
-  return result;
+    steps->Step(loss);
+  };
+  auto eval = [&] {
+    Matrix logits;
+    forward(/*training=*/false, nullptr, nullptr, &logits);
+    return logits;
+  };
+  return meter.Finish(
+      gt.spd_beta != 0.0 ? "graph_transformer" : "graph_transformer_nobias",
+      nn::Fit(std::move(params), labels, splits.val, splits.test, config,
+              epoch, eval));
 }
 
 }  // namespace sgnn::models

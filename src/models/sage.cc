@@ -4,10 +4,8 @@
 
 #include "common/check.h"
 #include "common/counters.h"
-#include "common/timer.h"
 #include "graph/propagate.h"
 #include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/ops.h"
 
@@ -38,24 +36,13 @@ Matrix Prefix(const Matrix& m, int64_t n) {
 }
 
 /// Weighted aggregation over a block using *local* source representations
-/// (rows of `h` are ordered like layer.src). Distinct from
-/// `sampling::AggregateThroughLayer`, which reads globally-indexed rows.
+/// (rows of `h` are ordered like layer.src), through the one SpMM row
+/// kernel. Distinct from `sampling::AggregateThroughLayer`, which reads
+/// globally-indexed rows.
 Matrix AggregateLocal(const LayerSample& layer, const Matrix& h) {
-  const int64_t cols = h.cols();
-  Matrix out(static_cast<int64_t>(layer.dst.size()), cols);
-  for (size_t i = 0; i < layer.dst.size(); ++i) {
-    float* orow = out.data() + static_cast<int64_t>(i) * cols;
-    for (graph::EdgeIndex e = layer.offsets[i]; e < layer.offsets[i + 1];
-         ++e) {
-      const float w = layer.weights[static_cast<size_t>(e)];
-      const float* hrow =
-          h.data() +
-          static_cast<int64_t>(layer.src_local[static_cast<size_t>(e)]) * cols;
-      for (int64_t c = 0; c < cols; ++c) orow[c] += w * hrow[c];
-    }
-  }
-  common::GlobalCounters().edges_touched +=
-      static_cast<uint64_t>(layer.num_edges());
+  Matrix out(static_cast<int64_t>(layer.dst.size()), h.cols());
+  graph::SpmmRows{layer.offsets, layer.src_local, layer.weights, {}, {}}
+      .Apply(h, &out);
   return out;
 }
 
@@ -197,10 +184,7 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
                       std::span<const int> labels, const NodeSplits& splits,
                       const nn::TrainConfig& config, const SageConfig& sage) {
   SGNN_CHECK(!sage.fanouts.empty());
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   common::Rng rng(config.seed);
 
   // dims = {in, hidden x (L-1), out} with L = fanouts.size().
@@ -208,24 +192,15 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
   for (size_t l = 0; l + 1 < sage.fanouts.size(); ++l) {
     dims.push_back(config.hidden_dim);
   }
-  dims.push_back(num_classes);
+  dims.push_back(NumClasses(labels));
   SGNN_CHECK_EQ(dims.size(), sage.fanouts.size() + 1);
-
   SageModel model(dims, config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
 
   const size_t batch_size =
       config.batch_size > 0 ? static_cast<size_t>(config.batch_size) : 64;
   std::vector<NodeId> order(splits.train.begin(), splits.train.end());
-
-  ModelResult result;
-  result.name = sage.use_labor ? "sage_labor" : "sage";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto epoch = [&](nn::EpochSteps* steps) {
     rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t num_batches = 0;
     for (size_t start = 0; start < order.size(); start += batch_size) {
       const size_t end = std::min(order.size(), start + batch_size);
       std::vector<NodeId> seeds(order.begin() + static_cast<int64_t>(start),
@@ -242,24 +217,13 @@ ModelResult TrainSage(const graph::CsrGraph& graph, const Matrix& x,
         seed_labels[i] = labels[seeds[i]];
       }
       model.ZeroGrad();
-      epoch_loss += model.TrainStep(batch, input, seed_labels, &rng);
-      opt.Step();
-      ++num_batches;
+      steps->Step(model.TrainStep(batch, input, seed_labels, &rng));
     }
-    result.report.final_train_loss =
-        epoch_loss / static_cast<double>(num_batches);
-    result.report.epochs_run = epoch + 1;
-
-    Matrix logits = model.Predict(graph, x);
-    const double val = nn::Accuracy(logits, labels, splits.val);
-    const double test = nn::Accuracy(logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
-  result.report.train_seconds = timer.Seconds();
-  result.ops = counters.Delta();
-  return result;
+  };
+  auto eval = [&] { return model.Predict(graph, x); };
+  return meter.Finish(sage.use_labor ? "sage_labor" : "sage",
+                      nn::Fit(model.Params(), labels, splits.val, splits.test,
+                              config, epoch, eval));
 }
 
 }  // namespace sgnn::models

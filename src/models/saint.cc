@@ -1,13 +1,7 @@
 #include "models/saint.h"
 
-#include <algorithm>
-#include <unordered_set>
-
-#include "common/timer.h"
 #include "graph/propagate.h"
 #include "models/gcn.h"
-#include "nn/loss.h"
-#include "nn/optimizer.h"
 #include "sampling/subgraph_sampler.h"
 
 namespace sgnn::models {
@@ -20,10 +14,7 @@ ModelResult TrainSaint(const graph::CsrGraph& graph, const Matrix& x,
                        std::span<const int> labels, const NodeSplits& splits,
                        const nn::TrainConfig& config,
                        const SaintConfig& saint) {
-  const int num_classes =
-      1 + *std::max_element(labels.begin(), labels.end());
-  common::ScopedCounterDelta counters;
-  common::WallTimer timer;
+  const FitMeter meter;
   common::Rng rng(config.seed);
 
   // Inclusion-probability estimate for the loss normalisation: weight a
@@ -49,70 +40,39 @@ ModelResult TrainSaint(const graph::CsrGraph& graph, const Matrix& x,
     }
   }
 
-  Gcn model(x.cols(), config.hidden_dim, num_classes, config.dropout, &rng);
-  nn::Adam opt(model.Params(), config.lr, 0.9, 0.999, 1e-8,
-               config.weight_decay);
-  EarlyStopTracker tracker(config.patience);
-  std::unordered_set<NodeId> train_set(splits.train.begin(),
-                                       splits.train.end());
+  Gcn model(x.cols(), config.hidden_dim, NumClasses(labels), config.dropout,
+            &rng);
+  std::vector<bool> is_train(graph.num_nodes(), false);
+  for (NodeId u : splits.train) is_train[u] = true;
   graph::Propagator full_prop(graph, graph::Normalization::kSymmetric, true);
 
-  ModelResult result;
-  result.name = saint.sampler == SaintConfig::Sampler::kWalk ? "saint_walk"
-                                                             : "saint_node";
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    double epoch_loss = 0.0;
-    int counted = 0;
+  auto epoch = [&](nn::EpochSteps* steps) {
     for (int b = 0; b < saint.batches_per_epoch; ++b) {
       SampledSubgraph sub =
           saint.sampler == SaintConfig::Sampler::kNode
               ? sampling::SampleSubgraphNodes(graph, saint.node_budget, &rng)
               : sampling::SampleSubgraphWalks(graph, saint.walk_roots,
                                               saint.walk_length, &rng);
-      std::vector<NodeId> local_train;
-      std::vector<float> weights;
-      for (size_t i = 0; i < sub.nodes.size(); ++i) {
-        const NodeId global = sub.nodes[i];
-        if (train_set.count(global) == 0) continue;
-        local_train.push_back(static_cast<NodeId>(i));
-        float w = 1.0f;
-        if (!inclusion.empty() && inclusion[global] > 0.0) {
-          w = static_cast<float>(1.0 / inclusion[global]);
-        }
-        weights.push_back(w);
-      }
+      const std::vector<NodeId> local_train =
+          LocalTrainRows(sub.nodes, is_train);
       if (local_train.empty()) continue;
-
-      graph::Propagator sub_prop(sub.subgraph,
-                                 graph::Normalization::kSymmetric, true);
-      std::vector<int64_t> gather(sub.nodes.begin(), sub.nodes.end());
-      Matrix sub_x = x.GatherRows(gather);
-      const uint64_t resident = static_cast<uint64_t>(sub_x.size());
-      common::GlobalCounters().Acquire(resident);
-      std::vector<int> sub_labels(sub.nodes.size());
-      for (size_t i = 0; i < sub.nodes.size(); ++i) {
-        sub_labels[i] = labels[sub.nodes[i]];
+      std::vector<float> weights(local_train.size(), 1.0f);
+      for (size_t j = 0; j < local_train.size(); ++j) {
+        const NodeId global = sub.nodes[local_train[j]];
+        if (!inclusion.empty() && inclusion[global] > 0.0) {
+          weights[j] = static_cast<float>(1.0 / inclusion[global]);
+        }
       }
-      model.ZeroGrad();
-      epoch_loss += model.TrainStepWeighted(sub_prop, sub_x, sub_labels,
-                                            local_train, weights, &rng);
-      opt.Step();
-      common::GlobalCounters().Release(resident);
-      ++counted;
+      StepOnSubgraph(&model, sub.subgraph, sub.nodes, local_train, weights, x,
+                     labels, steps, &rng);
     }
-    if (counted > 0) result.report.final_train_loss = epoch_loss / counted;
-    result.report.epochs_run = epoch + 1;
-
-    Matrix logits = model.Predict(full_prop, x);
-    const double val = nn::Accuracy(logits, labels, splits.val);
-    const double test = nn::Accuracy(logits, labels, splits.test);
-    if (tracker.Update(val, test)) break;
-  }
-  result.report.best_val_accuracy = tracker.best_val();
-  result.report.test_accuracy = tracker.test_at_best();
-  result.report.train_seconds = timer.Seconds();
-  result.ops = counters.Delta();
-  return result;
+  };
+  auto eval = [&] { return model.Predict(full_prop, x); };
+  return meter.Finish(
+      saint.sampler == SaintConfig::Sampler::kWalk ? "saint_walk"
+                                                   : "saint_node",
+      nn::Fit(model.Params(), labels, splits.val, splits.test, config, epoch,
+              eval));
 }
 
 }  // namespace sgnn::models

@@ -1,6 +1,7 @@
 #include "nn/trainer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/counters.h"
@@ -13,6 +14,41 @@ namespace sgnn::nn {
 using graph::NodeId;
 using tensor::Matrix;
 
+void EpochSteps::Step(double batch_loss) {
+  opt_->Step();
+  loss_sum_ += batch_loss;
+  ++batches_;
+}
+
+TrainReport Fit(std::vector<ParamRef> params, std::span<const int> labels,
+                std::span<const NodeId> val_nodes,
+                std::span<const NodeId> test_nodes, const TrainConfig& config,
+                const std::function<void(EpochSteps*)>& run_epoch,
+                const std::function<Matrix()>& eval) {
+  Adam opt(std::move(params), config.lr, 0.9, 0.999, 1e-8,
+           config.weight_decay);
+  EarlyStopTracker tracker(config.patience);
+  common::WallTimer timer;
+  TrainReport report;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    EpochSteps steps(&opt);
+    run_epoch(&steps);
+    // An epoch in which no batch stepped keeps the previous epoch's loss.
+    if (steps.batches() > 0) report.final_train_loss = steps.mean_loss();
+    report.epochs_run = epoch + 1;
+
+    const Matrix logits = eval();
+    if (tracker.Update(Accuracy(logits, labels, val_nodes),
+                       Accuracy(logits, labels, test_nodes))) {
+      break;
+    }
+  }
+  report.best_val_accuracy = tracker.best_val();
+  report.test_accuracy = tracker.test_at_best();
+  report.train_seconds = timer.Seconds();
+  return report;
+}
+
 TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
                                  std::span<const int> labels,
                                  std::span<const NodeId> train_nodes,
@@ -24,20 +60,13 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
   SGNN_CHECK(!val_nodes.empty());
   SGNN_CHECK(!test_nodes.empty());
   common::Rng rng(config.seed);
-  Adam opt(mlp->Params(), config.lr, 0.9, 0.999, 1e-8, config.weight_decay);
-  common::WallTimer timer;
-
   std::vector<NodeId> order(train_nodes.begin(), train_nodes.end());
   const size_t batch =
       config.batch_size > 0 ? static_cast<size_t>(config.batch_size)
                             : order.size();
 
-  TrainReport report;
-  int since_best = 0;
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+  auto epoch = [&](EpochSteps* steps) {
     rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    size_t batches = 0;
     for (size_t start = 0; start < order.size(); start += batch) {
       const size_t end = std::min(order.size(), start + batch);
       std::vector<int64_t> gather(order.begin() + static_cast<int64_t>(start),
@@ -58,31 +87,22 @@ TrainReport TrainMlpOnEmbeddings(Mlp* mlp, const Matrix& embeddings,
       Matrix logits;
       mlp->Forward(x, /*training=*/true, &rng, &logits);
       Matrix dlogits;
-      epoch_loss +=
+      const double loss =
           SoftmaxCrossEntropy(logits, batch_labels, batch_rows, &dlogits);
-      ++batches;
       mlp->ZeroGrad();
       mlp->Backward(dlogits, nullptr);
-      opt.Step();
+      steps->Step(loss);
       common::GlobalCounters().Release(resident);
     }
-    report.final_train_loss = epoch_loss / static_cast<double>(batches);
-    report.epochs_run = epoch + 1;
-
-    // Validation (inference mode, whole matrix).
+  };
+  // Validation reads the whole matrix in inference mode.
+  auto eval = [&] {
     Matrix logits;
     mlp->Forward(embeddings, /*training=*/false, nullptr, &logits);
-    const double val_acc = Accuracy(logits, labels, val_nodes);
-    if (val_acc > report.best_val_accuracy) {
-      report.best_val_accuracy = val_acc;
-      report.test_accuracy = Accuracy(logits, labels, test_nodes);
-      since_best = 0;
-    } else if (++since_best >= config.patience) {
-      break;
-    }
-  }
-  report.train_seconds = timer.Seconds();
-  return report;
+    return logits;
+  };
+  return Fit(mlp->Params(), labels, val_nodes, test_nodes, config, epoch,
+             eval);
 }
 
 }  // namespace sgnn::nn

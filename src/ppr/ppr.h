@@ -85,11 +85,7 @@ common::StatusOr<PushResult> RunForwardPush(graph::NodeId num_nodes,
     result.edges_touched += deg;
     SGNN_RETURN_IF_ERROR(visit_row(u, [&](std::span<const graph::NodeId> nbrs,
                                           std::span<const float> ws) {
-      // Float weights accumulate into a double in adjacency order: the
-      // `CsrGraph::WeightedDegree` arithmetic.
-      double w_deg = 0.0;
-      for (float w : ws) w_deg += w;
-      const double spread = (1.0 - alpha) * ru / w_deg;
+      const double spread = (1.0 - alpha) * ru / graph::WeightSum(ws);
       for (size_t i = 0; i < nbrs.size(); ++i) {
         const graph::NodeId v = nbrs[i];
         r[v] += spread * ws[i];

@@ -33,12 +33,9 @@ StatusOr<OocPropagator> OocPropagator::Create(ShardedGraph* graph,
         "storage.prop.degrees", graph::RowShards(pin.local_offsets()),
         [&](int, par::Range range) {
           for (int64_t r = range.begin; r < range.end; ++r) {
-            // Float weights accumulate into a double in adjacency order —
-            // the exact `CsrGraph::WeightedDegree` arithmetic.
-            double acc = 0.0;
-            for (float w : pin.WeightsLocal(r)) acc += w;
             prop.degree_[pin.rows()[static_cast<size_t>(r)]] =
-                acc + (add_self_loops ? 1.0 : 0.0);
+                graph::WeightSum(pin.WeightsLocal(r)) +
+                (add_self_loops ? 1.0 : 0.0);
           }
         });
   }

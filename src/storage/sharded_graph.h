@@ -77,9 +77,10 @@ OpenOptions OptionsFromRunContext(const core::RunContext& ctx);
 /// so kernels iterate spans at in-memory speed. Move-only; a
 /// default-constructed pin is inert.
 ///
-/// Row accessors mirror the `CsrGraph` surface (`Neighbors`/`Weights`/
-/// `WeightedDegree` by *global* node id, which must belong to this shard);
-/// the `*Local` forms index by shard row for shard-major kernels.
+/// Row accessors mirror the `CsrGraph` surface (`Neighbors`/`Weights` by
+/// *global* node id, which must belong to this shard; a row's weighted
+/// degree is `graph::WeightSum` of its weights); the `*Local` forms index
+/// by shard row for shard-major kernels.
 class PinnedShard {
  public:
   PinnedShard() = default;
@@ -126,14 +127,6 @@ class PinnedShard {
   }
   std::span<const float> Weights(graph::NodeId u) const {
     return WeightsLocal(LocalRow(u));
-  }
-
-  /// Sum of u's edge weights, accumulated in adjacency order exactly like
-  /// `CsrGraph::WeightedDegree` so downstream arithmetic is bit-identical.
-  double WeightedDegree(graph::NodeId u) const {
-    double acc = 0.0;
-    for (float w : Weights(u)) acc += w;
-    return acc;
   }
 
  private:

@@ -2,13 +2,19 @@
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "core/coarse_flow.h"
 #include "core/dataset.h"
 #include "models/cluster_gcn.h"
 #include "models/decoupled.h"
 #include "models/gcn.h"
+#include "models/graph_transformer.h"
 #include "models/sage.h"
 #include "models/saint.h"
+#include "nn/trainer.h"
 #include "sampling/neighbor_sampler.h"
 
 namespace sgnn::models {
@@ -407,6 +413,182 @@ TEST(ModelZooTest, AllModelsBeatMajorityClassOnEasyData) {
   for (const ModelResult& r : results) {
     EXPECT_GT(r.report.test_accuracy, majority) << r.name;
     EXPECT_GT(r.report.epochs_run, 0) << r.name;
+  }
+}
+
+// Report pins for every trainer that goes through the shared epoch loop,
+// recorded on the hand-written per-trainer loops. Each pin is FNV-1a over
+// the bit patterns of final_train_loss, best_val_accuracy, test_accuracy,
+// epochs_run, ops.edges_touched and ops.peak_resident_floats, so moving
+// any draw, Adam step, score or resident bill moves the pin.
+uint64_t ReportBits(const nn::TrainReport& report,
+                    const common::OpCounters& ops) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const uint64_t word :
+       {std::bit_cast<uint64_t>(report.final_train_loss),
+        std::bit_cast<uint64_t>(report.best_val_accuracy),
+        std::bit_cast<uint64_t>(report.test_accuracy),
+        static_cast<uint64_t>(report.epochs_run), ops.edges_touched,
+        ops.peak_resident_floats}) {
+    h ^= word;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string DescribeReport(const nn::TrainReport& report,
+                           const common::OpCounters& ops) {
+  std::ostringstream out;
+  out << std::hex << "bits=0x" << ReportBits(report, ops) << " loss=0x"
+      << std::bit_cast<uint64_t>(report.final_train_loss) << " val=0x"
+      << std::bit_cast<uint64_t>(report.best_val_accuracy) << " test=0x"
+      << std::bit_cast<uint64_t>(report.test_accuracy) << std::dec
+      << " epochs=" << report.epochs_run << " edges=" << ops.edges_touched
+      << " peak=" << ops.peak_resident_floats;
+  return out.str();
+}
+
+#define EXPECT_REPORT_PINNED(result, want)                           \
+  EXPECT_EQ(ReportBits((result).report, (result).ops), (want))       \
+      << DescribeReport((result).report, (result).ops)
+
+/// Noisy mid-homophily SBM (the SAGE pin's data): validation accuracy
+/// plateaus within a few epochs, so short-patience pins stop early.
+Dataset PinDataset() {
+  core::SbmDatasetConfig dconfig;
+  dconfig.sbm = {.num_nodes = 400, .num_classes = 3, .avg_degree = 12,
+                 .homophily = 0.6};
+  dconfig.feature_dim = 8;
+  dconfig.feature_noise = 2.0;
+  return core::MakeSbmDataset(dconfig, 3);
+}
+
+nn::TrainConfig PinConfig() {
+  nn::TrainConfig config = FastConfig();
+  config.epochs = 8;
+  config.batch_size = 64;
+  // Peaks are thread-wide high-water marks: re-base so each pinned run
+  // reports only the peak it caused.
+  common::GlobalCounters().RebasePeaks();
+  return config;
+}
+
+TEST(TrainPinTest, GcnReportIsPinned) {
+  const Dataset d = PinDataset();
+  const ModelResult r =
+      TrainGcn(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(r, 0xbd1823f1d8fcac92ULL);
+}
+
+TEST(TrainPinTest, GcnEarlyStopReportIsPinned) {
+  const Dataset d = PinDataset();
+  nn::TrainConfig config = PinConfig();
+  config.epochs = 60;
+  config.patience = 3;
+  const ModelResult r =
+      TrainGcn(d.graph, d.features, d.labels, d.splits, config);
+  EXPECT_LT(r.report.epochs_run, config.epochs);
+  EXPECT_REPORT_PINNED(r, 0x569cedae4e3c32d8ULL);
+}
+
+TEST(TrainPinTest, ClusterGcnReportsArePinned) {
+  const Dataset d = PinDataset();
+  const ModelResult multilevel =
+      TrainClusterGcn(d.graph, d.features, d.labels, d.splits, PinConfig(),
+                      ClusterGcnConfig{.num_parts = 8});
+  EXPECT_REPORT_PINNED(multilevel, 0xa17eeb9a447bc6eeULL);
+  const ModelResult ldg = TrainClusterGcn(
+      d.graph, d.features, d.labels, d.splits, PinConfig(),
+      ClusterGcnConfig{.num_parts = 8, .use_multilevel = false});
+  EXPECT_REPORT_PINNED(ldg, 0x6fea34cf1bc3f77cULL);
+}
+
+TEST(TrainPinTest, SaintReportsArePinned) {
+  const Dataset d = PinDataset();
+  const ModelResult walk =
+      TrainSaint(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(walk, 0x9dc1873b3587b059ULL);
+  SaintConfig node;
+  node.sampler = SaintConfig::Sampler::kNode;
+  node.node_budget = 128;
+  const ModelResult node_run =
+      TrainSaint(d.graph, d.features, d.labels, d.splits, PinConfig(), node);
+  EXPECT_REPORT_PINNED(node_run, 0xac45c5f8691baad1ULL);
+  SaintConfig unnormalised;
+  unnormalised.norm_trials = 0;
+  const ModelResult plain = TrainSaint(d.graph, d.features, d.labels,
+                                       d.splits, PinConfig(), unnormalised);
+  EXPECT_REPORT_PINNED(plain, 0xf0abe4197a009f61ULL);
+}
+
+TEST(TrainPinTest, AppnpReportIsPinned) {
+  const Dataset d = PinDataset();
+  const ModelResult r =
+      TrainAppnp(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(r, 0x735e95a32b630efdULL);
+}
+
+TEST(TrainPinTest, GraphTransformerReportIsPinned) {
+  const Dataset d = PinDataset();
+  const ModelResult r = TrainGraphTransformer(d.graph, d.features, d.labels,
+                                              d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(r, 0x561e909ee396a40eULL);
+}
+
+TEST(TrainPinTest, DecoupledHeadReportsArePinned) {
+  const Dataset d = PinDataset();
+  const ModelResult sgc =
+      TrainSgc(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(sgc, 0x3af990e32a2aeac9ULL);
+  const ModelResult sign =
+      TrainSign(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(sign, 0x06b9ea368c0ba41dULL);
+  const ModelResult spectral = TrainSpectralDecoupled(
+      d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(spectral, 0x20230ad33fbf2f88ULL);
+  const ModelResult pprgo =
+      TrainPprgo(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(pprgo, 0xe9e7099b5cbbc7abULL);
+  const ModelResult implicit =
+      TrainImplicit(d.graph, d.features, d.labels, d.splits, PinConfig());
+  EXPECT_REPORT_PINNED(implicit, 0x05ed0436c964da99ULL);
+}
+
+TEST(TrainPinTest, SgcEarlyStopReportIsPinned) {
+  const Dataset d = PinDataset();
+  nn::TrainConfig config = PinConfig();
+  config.epochs = 60;
+  config.patience = 3;
+  const ModelResult r =
+      TrainSgc(d.graph, d.features, d.labels, d.splits, config);
+  EXPECT_LT(r.report.epochs_run, config.epochs);
+  EXPECT_REPORT_PINNED(r, 0xefda84b590849d74ULL);
+}
+
+TEST(TrainPinTest, CoarseGraphReportIsPinned) {
+  const Dataset d = PinDataset();
+  const core::CoarseTrainResult r = core::TrainOnCoarseGraph(d, 0.3,
+                                                             PinConfig());
+  EXPECT_REPORT_PINNED(r.model, 0x1a41e547a1d2abe3ULL);
+}
+
+TEST(TrainPinTest, MlpOnEmbeddingsReportsArePinned) {
+  const Dataset d = PinDataset();
+  for (const auto& [batch, want] :
+       {std::pair<int, uint64_t>{0, 0x884200dbbf9ccafbULL},
+        {16, 0xa85bb95c97114c96ULL}}) {
+    nn::TrainConfig config = PinConfig();
+    config.batch_size = batch;
+    common::Rng rng(5);
+    nn::Mlp mlp({d.features.cols(), config.hidden_dim, 3}, config.dropout,
+                &rng);
+    common::ScopedCounterDelta counters;
+    const nn::TrainReport report = nn::TrainMlpOnEmbeddings(
+        &mlp, d.features, d.labels, d.splits.train, d.splits.val,
+        d.splits.test, config);
+    const common::OpCounters ops = counters.Delta();
+    EXPECT_EQ(ReportBits(report, ops), want)
+        << "batch " << batch << ": " << DescribeReport(report, ops);
   }
 }
 

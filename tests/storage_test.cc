@@ -238,7 +238,8 @@ TEST(OpenTest, ViewMatchesGraphSurface) {
     ASSERT_EQ(nbrs.size(), expected.size());
     EXPECT_EQ(0, std::memcmp(nbrs.data(), expected.data(),
                              nbrs.size() * sizeof(NodeId)));
-    EXPECT_DOUBLE_EQ(pin_or.value().WeightedDegree(u), g.WeightedDegree(u));
+    EXPECT_DOUBLE_EQ(graph::WeightSum(pin_or.value().Weights(u)),
+                     g.WeightedDegree(u));
   }
   std::filesystem::remove_all(dir);
 }

@@ -12,7 +12,10 @@ Absorbs and supersedes the former tools/lint_determinism.py:
     (det/raw-io), process/signal syscalls only under src/dist/
     (det/process-syscall), TCP socket/epoll syscalls only under src/net/
     (det/net-syscall), memcpy only in the byte codec under
-    src/common/bytes (det/byte-codec).
+    src/common/bytes (det/byte-codec);
+  * src-confined bans, the same inside src/ only: nn::Adam and
+    EarlyStopTracker are constructed only by the one epoch loop in
+    src/nn/trainer (det/epoch-loop); tests and benches may drive them.
 
 New in sgnn-lint, for deterministic paths under src/:
   * det/unordered-iteration -- range-for over an `unordered_map`/
@@ -102,6 +105,14 @@ RULES = [
         "or std::copy_n for typed copies)",
         fixture="det-byte-codec.cc.fixture"),
     registry.Rule(
+        "det/epoch-loop",
+        "the optimiser and early-stop policy are built once, by nn::Fit in "
+        "src/nn/trainer: a second Adam or EarlyStopTracker under src/ is a "
+        "hand-copied epoch loop whose Adam settings, step order or stop rule "
+        "can drift from the bit contract every trainer shares (pass an "
+        "epoch body to nn::Fit)",
+        fixture="det-epoch-loop.cc.fixture"),
+    registry.Rule(
         "det/unordered-iteration",
         "iterating an unordered container visits hash-table order -- a "
         "function of insertion history and library version; sort the "
@@ -181,6 +192,19 @@ CONFINED_FORBIDDEN = {
     ],
 }
 
+# Rules that apply under src/ EXCEPT under the confining prefixes
+# (src/nn/optimizer is where Adam itself is defined).
+SRC_CONFINED_FORBIDDEN = {
+    ("src/nn/trainer.", "src/nn/optimizer."): [
+        (_R["det/epoch-loop"], "Adam/EarlyStopTracker construction",
+         re.compile(
+             r"(?<![_\w])(?:\w+::)*(?:Adam|EarlyStopTracker)"
+             r"(?:\s+\w+)?\s*[({]"
+             r"|make_(?:unique|shared)\s*<\s*(?:\w+::)*"
+             r"(?:Adam|EarlyStopTracker)\s*>")),
+    ],
+}
+
 # Declares an unordered container variable (value, reference, or element of
 # a wrapper like std::vector<std::unordered_set<...>> -- the captured name
 # is whatever identifier follows the closing angle brackets).
@@ -198,6 +222,9 @@ def _line_rules(rel):
             rules.extend(extra)
     for prefix, extra in CONFINED_FORBIDDEN.items():
         if not rel.startswith(prefix):
+            rules.extend(extra)
+    for prefixes, extra in SRC_CONFINED_FORBIDDEN.items():
+        if rel.startswith("src/") and not rel.startswith(prefixes):
             rules.extend(extra)
     return rules
 

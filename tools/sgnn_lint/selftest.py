@@ -28,6 +28,7 @@ COUNTER_PATHS = {
     "det/process-syscall": "src/dist/fixture.cc",
     "det/net-syscall": "src/net/fixture.cc",
     "det/byte-codec": "src/common/bytes.cc",
+    "det/epoch-loop": "src/nn/trainer.cc",
     "det/simd-intrinsics": "src/simd/fixture.cc",
     "det/obs-wallclock": "src/graph/fixture.cc",
     "det/par-raw-thread": "src/graph/fixture.cc",
