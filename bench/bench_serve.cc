@@ -1,6 +1,6 @@
 // E17 — Online serving: micro-batching + historical embedding cache over
 // a frozen decoupled head. Larger micro-batches amortise the MLP forward
-// and the batcher wakeups, and a warm cache skips k-hop propagation
+// and the workers' queue wakeups, and a warm cache skips k-hop propagation
 // entirely, so throughput rises superlinearly with batch size until the
 // staleness bound (or a cold cache) forces recomputation.
 // Series: req/s, p50/p95/p99 latency, cache hit rate per batch size.

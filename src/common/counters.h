@@ -1,6 +1,7 @@
 #ifndef SGNN_COMMON_COUNTERS_H_
 #define SGNN_COMMON_COUNTERS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -152,17 +153,39 @@ inline OpCounters SnapshotThreadCounters() { return GlobalCounters(); }
 /// Captures the counter state at construction and exposes the delta since,
 /// so a caller can attribute work to a region without resetting globals.
 /// Thread-scoped: it observes only the calling thread's counters.
+///
+/// The peaks are the scope's own: construction re-bases the thread's
+/// high-water marks to the current residency (`RebasePeaks`), and
+/// destruction restores each to the larger of its saved value and the
+/// scope's peak, so the thread-wide marks stay monotone. Scopes nest: an
+/// enclosing scope read after an inner one ended (a pipeline stage around
+/// a trainer's `FitMeter`) still sees the inner peak.
 class ScopedCounterDelta {
  public:
-  ScopedCounterDelta() : base_(SnapshotThreadCounters()) {}
+  ScopedCounterDelta() : base_(SnapshotThreadCounters()) {
+    GlobalCounters().RebasePeaks();
+  }
 
-  /// Work done since construction. `peak_resident_floats` is reported as
-  /// the maximum observed during the scope, not a difference.
+  ~ScopedCounterDelta() {
+    OpCounters& counters = GlobalCounters();
+    counters.peak_resident_floats =
+        std::max(counters.peak_resident_floats, base_.peak_resident_floats);
+    counters.peak_resident_shard_bytes = std::max(
+        counters.peak_resident_shard_bytes, base_.peak_resident_shard_bytes);
+  }
+
+  ScopedCounterDelta(const ScopedCounterDelta&) = delete;
+  ScopedCounterDelta& operator=(const ScopedCounterDelta&) = delete;
+
+  /// Work done since construction. `peak_resident_floats` and
+  /// `peak_resident_shard_bytes` are the maxima observed during the scope,
+  /// not differences.
   OpCounters Delta() const {
     return OpCounters::Delta(base_, SnapshotThreadCounters());
   }
 
  private:
+  /// Counters at construction, peaks as they were before the re-base.
   OpCounters base_;
 };
 

@@ -22,22 +22,8 @@ void ThreadPool::Submit(std::function<void()> fn) {
     MutexLock lock(mu_);
     SGNN_CHECK(!stopping_);
     tasks_.push_back(std::move(fn));
-    ++submitted_;
-    const uint64_t depth = tasks_.size();
-    if (depth > max_queue_depth_) max_queue_depth_ = depth;
   }
   work_available_.notify_one();
-}
-
-ThreadPoolStats ThreadPool::Stats() const {
-  MutexLock lock(mu_);
-  ThreadPoolStats stats;
-  stats.submitted = submitted_;
-  stats.executed = executed_;
-  stats.queue_depth = tasks_.size();
-  stats.max_queue_depth = max_queue_depth_;
-  stats.active = active_;
-  return stats;
 }
 
 void ThreadPool::WaitIdle() {
@@ -91,7 +77,6 @@ void ThreadPool::WorkerLoop() {
     {
       MutexLock lock(mu_);
       --active_;
-      ++executed_;
       if (tasks_.empty() && active_ == 0) idle_.notify_all();
     }
   }

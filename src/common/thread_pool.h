@@ -2,7 +2,6 @@
 #define SGNN_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -12,21 +11,10 @@
 
 namespace sgnn::common {
 
-/// Point-in-time load view of a `ThreadPool`, cheap enough to poll from a
-/// metrics exporter: queue depth is the backlog signal an operator watches
-/// (a rising depth means submitters outpace the workers).
-struct ThreadPoolStats {
-  uint64_t submitted = 0;        ///< Tasks ever accepted by `Submit`.
-  uint64_t executed = 0;         ///< Tasks that finished running.
-  uint64_t queue_depth = 0;      ///< Tasks queued but not yet started.
-  uint64_t max_queue_depth = 0;  ///< High-water mark of `queue_depth`.
-  int active = 0;                ///< Tasks currently executing.
-};
-
 /// Worker pool executing submitted closures FIFO; sized at construction
-/// and resizable between workloads (`Resize`). The internal
-/// task list is unbounded; callers that need backpressure bound their own
-/// admission (see `serve::BatchingServer` and its `serve::AdmissionQueue`).
+/// and resizable between workloads (`Resize`); `par` runs its parallel
+/// sections on one. The internal task list is unbounded; callers that need
+/// backpressure bound their own admission.
 ///
 /// Destruction drains: queued tasks still run before the workers join, so
 /// work submitted before shutdown is never silently dropped.
@@ -53,15 +41,10 @@ class ThreadPool {
   void Shutdown() SGNN_EXCLUDES(mu_);
 
   /// Changes the worker count to `n` (>= 1): drains the queue, joins the
-  /// current workers, then starts `n` fresh ones. Cumulative `Stats()`
-  /// counts (submitted/executed/high-water) survive the resize. Must not
-  /// race with `Submit` — configure between workloads (`par::SetThreads`
-  /// serialises its calls); a no-op when `n` already matches.
+  /// current workers, then starts `n` fresh ones. Must not race with
+  /// `Submit` — configure between workloads (`par::SetThreads` serialises
+  /// its calls); a no-op when `n` already matches.
   void Resize(int n) SGNN_EXCLUDES(mu_);
-
-  /// Load snapshot (see `ThreadPoolStats`). Thread-safe; values from live
-  /// workers are a consistent instant under the pool lock.
-  ThreadPoolStats Stats() const SGNN_EXCLUDES(mu_);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
@@ -78,9 +61,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   int active_ SGNN_GUARDED_BY(mu_) = 0;  ///< Tasks currently executing.
   bool stopping_ SGNN_GUARDED_BY(mu_) = false;
-  uint64_t submitted_ SGNN_GUARDED_BY(mu_) = 0;
-  uint64_t executed_ SGNN_GUARDED_BY(mu_) = 0;
-  uint64_t max_queue_depth_ SGNN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace sgnn::common

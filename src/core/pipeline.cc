@@ -98,9 +98,10 @@ PipelineReport Pipeline::Run(const Dataset& dataset,
                              const RunContext& ctx) const {
   SGNN_CHECK(model_ != nullptr);
   // Peak residency is a monotone per-thread high-water mark; re-base it to
-  // the current residency so this run's per-stage peaks are run-local and
+  // the current residency so this run's peaks are run-local and
   // reproducible regardless of what ran on this thread before — the
-  // property the byte-identical deterministic exports pin.
+  // property the byte-identical deterministic exports pin. (Each stage's
+  // ScopedCounterDelta re-bases again, so stage rows are stage-local.)
   common::GlobalCounters().RebasePeaks();
   // Parallel substrate: optionally mirror the run's tracer into par, and
   // export the run's section/shard deltas on exit. Sections and shards are

@@ -44,7 +44,8 @@ using ModelFn = std::function<models::ModelResult(
 
 /// Per-stage timing entry of a pipeline run, with the work-counter delta
 /// the stage accounted for (`ScopedCounterDelta`), so preprocessing,
-/// training, and serving all report in the same units.
+/// training, and serving all report in the same units. Its peaks are the
+/// stage's own, not the run's high-water mark so far.
 struct StageTiming {
   std::string name;
   double seconds = 0.0;

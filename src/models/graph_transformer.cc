@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/counters.h"
 #include "graph/metrics.h"
 #include "nn/attention.h"
 #include "nn/loss.h"
@@ -92,7 +93,8 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
   // Model: anchor attention + skip, ReLU, linear head.
   nn::AnchorAttention attention(tokens.cols(), config.hidden_dim, &rng);
   nn::Linear skip(tokens.cols(), config.hidden_dim, &rng);
-  nn::Linear head(config.hidden_dim, NumClasses(labels), &rng);
+  const int num_classes = NumClasses(labels);
+  nn::Linear head(config.hidden_dim, num_classes, &rng);
   std::vector<nn::ParamRef> params = attention.Params();
   for (const auto& p : skip.Params()) params.push_back(p);
   for (const auto& p : head.Params()) params.push_back(p);
@@ -135,10 +137,23 @@ ModelResult TrainGraphTransformer(const graph::CsrGraph& graph,
     forward(/*training=*/false, nullptr, nullptr, &logits);
     return logits;
   };
+  // Resident-activation accounting for the E13 memory comparison: the
+  // full-graph bias and token tables stay resident for the whole fit, and
+  // every epoch materialises the anchor-attention weights, hidden and logit
+  // activations and their gradients for every node.
+  const uint64_t resident =
+      static_cast<uint64_t>(bias.size()) +
+      static_cast<uint64_t>(tokens.size()) +
+      2 * static_cast<uint64_t>(graph.num_nodes()) *
+          static_cast<uint64_t>(static_cast<int64_t>(anchors.size()) +
+                                config.hidden_dim + num_classes);
+  common::GlobalCounters().Acquire(resident);
+  const nn::TrainReport report = nn::Fit(std::move(params), labels, splits.val,
+                                         splits.test, config, epoch, eval);
+  common::GlobalCounters().Release(resident);
   return meter.Finish(
       gt.spd_beta != 0.0 ? "graph_transformer" : "graph_transformer_nobias",
-      nn::Fit(std::move(params), labels, splits.val, splits.test, config,
-              epoch, eval));
+      report);
 }
 
 }  // namespace sgnn::models

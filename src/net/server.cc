@@ -298,9 +298,8 @@ void HttpFrontDoor::HandleInfer(const std::shared_ptr<Conn>& conn,
       common::MutexLock lock(in_flight_.mu);
       ++in_flight_.count;
     }
-    // The callback runs on the thread that answers the request — a batch
-    // worker, or the batcher when it expired first; Respond is safe from
-    // any thread and never blocks.
+    // The callback runs on the serving worker that batched the request;
+    // Respond is safe from any thread and never blocks.
     status = server_->Submit(
         infer, [this, conn, seq](serve::InferenceResponse response) {
           const int code = response.status.ok()

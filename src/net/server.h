@@ -68,10 +68,10 @@ struct HttpFrontDoorConfig {
 /// flows: the epoll thread parses it, picks its shed tier, and `Submit`s
 /// it with a completion callback to the `BatchingServer`, whose
 /// `serve::AdmissionQueue` charges the tenant's quota and holds it until
-/// the batcher pops it deficit-weighted-fair. The thread that answers it —
-/// the batch worker, or the batcher for a request that expired while
-/// queued — runs the callback, which renders the JSON and writes the
-/// response *in request order per connection* (HTTP/1.1 pipelining).
+/// a serving worker pops it deficit-weighted-fair into its batch. That
+/// worker answers it, also when it expired while queued, and runs the
+/// callback, which renders the JSON and writes the response *in request
+/// order per connection* (HTTP/1.1 pipelining).
 /// Load shedding degrades exact → stale → reject as the serving breaker
 /// opens and the admission queue fills.
 ///

@@ -141,7 +141,8 @@ struct AdmissionConfig {
 /// The serving tier's one request queue, owned by the `BatchingServer`.
 /// `Offer` (any thread) charges the tenant's token bucket and enqueues
 /// into the tenant's FIFO under the per-tenant and total bounds; `Pop`
-/// (the server's batcher) dequeues deficit-weighted-fair across tenants.
+/// (the server's worker forming a batch) dequeues deficit-weighted-fair
+/// across tenants.
 ///
 /// Everything is counting-based — token buckets refill per *dispatch
 /// event*, and DWRR deficits advance per pop — so the queue is

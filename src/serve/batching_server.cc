@@ -1,6 +1,7 @@
 #include "serve/batching_server.h"
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -44,7 +45,6 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
       embed_fn_(std::move(embed_fn)),
       num_nodes_(num_nodes),
       admission_(SingleBound(config.queue_capacity), config.queue_capacity),
-      pool_(std::make_unique<common::ThreadPool>(config.num_workers)),
       cache_(num_nodes, model_.in_dim()),
       tracer_(ctx.tracer),
       faults_(ctx.faults),
@@ -58,7 +58,10 @@ BatchingServer::BatchingServer(FrozenModel model, EmbeddingFn embed_fn,
   SGNN_CHECK_GE(config.embed_retry.max_attempts, 1);
   SGNN_CHECK(embed_fn_ != nullptr);
   base_ops_ = common::AggregateThreadCounters();
-  batcher_ = std::thread([this] { BatcherLoop(); });
+  workers_.reserve(static_cast<size_t>(config.num_workers));
+  for (int i = 0; i < config.num_workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
 BatchingServer::~BatchingServer() { Shutdown(); }
@@ -128,8 +131,8 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
   snap.health.breaker_fast_fails = static_cast<uint64_t>(breaker_.fast_fails());
 
   // Refresh the registry-side gauges that mirror server-owned state, so a
-  // scrape taken after this call sees the breaker, worker pool, and
-  // data-movement counters too. All scheduling-dependent, hence volatile.
+  // scrape taken after this call sees the breaker and data-movement
+  // counters too. All scheduling-dependent, hence volatile.
   obs::MetricsRegistry& r = *metrics_.registry();
   r.GetGauge("sgnn_serve_breaker_state",
              "Circuit breaker state (0 closed, 1 open, 2 half-open).", {},
@@ -142,22 +145,6 @@ ServeMetricsSnapshot BatchingServer::Metrics() const {
              "Calls rejected by the open breaker (breaker-side count).", {},
              obs::kVolatile)
       ->Set(static_cast<double>(breaker_.fast_fails()));
-  const common::ThreadPoolStats pool = pool_->Stats();
-  r.GetGauge("sgnn_serve_pool_submitted", "Batches handed to the worker pool.",
-             {}, obs::kVolatile)
-      ->Set(static_cast<double>(pool.submitted));
-  r.GetGauge("sgnn_serve_pool_executed", "Batches completed by the pool.", {},
-             obs::kVolatile)
-      ->Set(static_cast<double>(pool.executed));
-  r.GetGauge("sgnn_serve_pool_queue_depth", "Tasks waiting in the pool queue.",
-             {}, obs::kVolatile)
-      ->Set(static_cast<double>(pool.queue_depth));
-  r.GetGauge("sgnn_serve_pool_max_queue_depth",
-             "Deepest pool queue observed.", {}, obs::kVolatile)
-      ->Set(static_cast<double>(pool.max_queue_depth));
-  r.GetGauge("sgnn_serve_pool_active", "Tasks executing right now.", {},
-             obs::kVolatile)
-      ->Set(static_cast<double>(pool.active));
   r.SetOpCounterGauges("sgnn_serve_ops",
                        "Serving-thread data movement since server start.", {},
                        snap.ops, obs::kVolatile);
@@ -168,69 +155,60 @@ void BatchingServer::Shutdown() {
   bool expected = false;
   if (!shutdown_.compare_exchange_strong(expected, true)) return;
   admission_.Close();
-  if (batcher_.joinable()) batcher_.join();
-  pool_->Shutdown();  // Drains submitted batches before joining.
+  // Workers keep forming batches until the closed queue is drained.
+  for (std::thread& worker : workers_) worker.join();
 }
 
-void BatchingServer::BatcherLoop() {
+bool BatchingServer::FormBatch(std::vector<PendingRequest>* batch) {
   const auto max_delay = std::chrono::microseconds(config_.max_delay_micros);
   constexpr int64_t kIdlePollMicros = 5000;
-  for (;;) {
-    PendingRequest next;
-    if (!admission_.Pop(&next, kIdlePollMicros)) {
-      // Timeout, or closed-and-drained: only the latter ends the loop (no
-      // new request can arrive after Close, so this is a stable condition).
-      if (admission_.Drained()) return;
-      continue;
-    }
-    auto batch = std::make_shared<std::vector<PendingRequest>>();
+  PendingRequest next;
+  while (!admission_.Pop(&next, kIdlePollMicros)) {
+    // Timeout, or closed-and-drained: only the latter ends the loop (no
+    // new request can arrive after Close, so this is a stable condition).
+    if (admission_.Drained()) return false;
+  }
+  batch->push_back(std::move(next));
+  const auto flush_at = Clock::now() + max_delay;
+  while (static_cast<int>(batch->size()) < config_.max_batch) {
+    const auto now = Clock::now();
+    if (now >= flush_at) break;
+    const auto wait =
+        std::chrono::duration_cast<std::chrono::microseconds>(flush_at - now);
+    if (!admission_.Pop(&next, wait.count())) break;
     batch->push_back(std::move(next));
-    const auto flush_at = Clock::now() + max_delay;
-    while (static_cast<int>(batch->size()) < config_.max_batch) {
-      const auto now = Clock::now();
-      if (now >= flush_at) break;
-      const auto wait =
-          std::chrono::duration_cast<std::chrono::microseconds>(flush_at - now);
-      if (!admission_.Pop(&next, wait.count())) break;
-      batch->push_back(std::move(next));
-    }
-    // Admit at most num_workers concurrent batches: while this waits, the
-    // queue fills and Submit starts rejecting — backpressure reaches the
-    // client instead of growing an invisible backlog. Workers only release
-    // slots, so a free one stays free until this thread takes it below.
+  }
+  return true;
+}
+
+void BatchingServer::WorkerLoop() {
+  for (;;) {
+    // One batch forms at a time, so idle workers do not split arrivals
+    // into smaller batches. A worker forms a batch only when it is free:
+    // at most num_workers batches are in flight, and the rest of the
+    // pressure stays in the admission queue, where Submit rejects.
+    std::vector<PendingRequest> batch;
     {
-      common::MutexLock lock(inflight_mu_);
-      while (in_flight_ >= config_.num_workers) inflight_cv_.wait(inflight_mu_);
+      common::MutexLock lock(form_mu_);
+      if (!FormBatch(&batch)) return;
     }
-    // Deadline check as the batch takes the worker: a request that expired
-    // in admission, while the batch formed or while it waited for the
-    // worker is answered here, on the batcher, and skips all embedding
-    // work.
+    // Deadline check as the batch starts: a request that expired in
+    // admission or while the batch formed is answered here and skips all
+    // embedding work.
     const auto expired = std::stable_partition(
-        batch->begin(), batch->end(),
+        batch.begin(), batch.end(),
         [](const PendingRequest& p) { return !p.deadline.expired(); });
-    for (auto it = expired; it != batch->end(); ++it) {
+    for (auto it = expired; it != batch.end(); ++it) {
       InferenceResponse response = ResponseFor(&*it, &latency_clock_);
       response.status = common::Status::DeadlineExceeded(
           "request expired before processing");
       metrics_.RecordTerminalFailure(response.status.code(), false);
       it->done(std::move(response));
     }
-    batch->erase(expired, batch->end());
-    if (batch->empty()) continue;
-    metrics_.RecordBatch(batch->size(), admission_.TotalQueued());
-    {
-      common::MutexLock lock(inflight_mu_);
-      ++in_flight_;
-    }
-    pool_->Submit([this, batch] {
-      ProcessBatch(batch.get());
-      {
-        common::MutexLock lock(inflight_mu_);
-        --in_flight_;
-      }
-      inflight_cv_.notify_one();
-    });
+    batch.erase(expired, batch.end());
+    if (batch.empty()) continue;
+    metrics_.RecordBatch(batch.size(), admission_.TotalQueued());
+    ProcessBatch(&batch);
   }
 }
 

@@ -3,18 +3,15 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <future>
 #include <limits>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/run_context.h"
 #include "graph/types.h"
@@ -39,8 +36,9 @@ struct ServeConfig {
   /// Until `admission().Configure` installs a per-tenant bound, it is
   /// also the bound of each tenant's FIFO.
   size_t queue_capacity = 1024;
-  /// Threads executing batches. In-flight batches are capped at this
-  /// number, so pressure propagates back to the admission queue.
+  /// Serving threads. Each forms a batch only when it is free, so at most
+  /// this many batches are in flight and pressure propagates back to the
+  /// admission queue.
   int num_workers = 2;
   /// Embedding-cache entries older than this many flushed batches are
   /// recomputed; default accepts any staleness (weights are frozen, so
@@ -50,10 +48,10 @@ struct ServeConfig {
   /// Write freshly computed embeddings back into the cache.
   bool update_cache = true;
   /// Per-request time budget from `Submit`, in microseconds; 0 = none.
-  /// Checked when the batcher hands the batch to a worker (expired
-  /// requests are answered there and skip all embedding work) and again
-  /// after the batch forward (late results are not delivered as
-  /// successes). Both resolve to `kDeadlineExceeded`.
+  /// Checked when a worker has formed the batch (expired requests are
+  /// answered there and skip all embedding work) and again after the
+  /// batch forward (late results are not delivered as successes). Both
+  /// resolve to `kDeadlineExceeded`.
   int64_t deadline_micros = 0;
   /// Transient embedder failures (`kUnavailable`/`kAborted`) are retried
   /// under this policy; the backoff never sleeps past the request deadline.
@@ -77,18 +75,21 @@ using EmbeddingFn =
 
 /// Online inference server: clients submit single-node classification
 /// requests into the server's one queue, the multi-tenant
-/// `AdmissionQueue`; a batcher thread pops them deficit-weighted-fair and
-/// coalesces them into dynamic micro-batches (flush on `max_batch` or
-/// `max_delay_micros`); worker threads resolve each batch by consulting
-/// the shared `HistoricalEmbeddingCache` first — hits skip feature
-/// gathering and propagation entirely — computing misses via the
-/// `EmbeddingFn`, and running the frozen head once per batch.
+/// `AdmissionQueue`; `num_workers` worker threads take turns popping them
+/// deficit-weighted-fair into dynamic micro-batches (flush on `max_batch`
+/// or `max_delay_micros`; one batch forms at a time), and each worker
+/// resolves the batch it formed by consulting the shared
+/// `HistoricalEmbeddingCache` first — hits skip feature gathering and
+/// propagation entirely — computing misses via the `EmbeddingFn`, and
+/// running the frozen head once per batch. A request crosses one handoff:
+/// from the submitting thread, through the queue, to a worker.
 ///
 /// The first concurrent subsystem in the library: admission is lossy by
-/// design (`kUnavailable` when a queue bound is hit), shutdown drains
-/// (every admitted request is answered), and all shared state is either
-/// immutable (`FrozenModel`), lock-protected (cache, metrics), or
-/// thread-local (work counters).
+/// design (`kUnavailable` when a queue bound is hit; at most
+/// `queue_capacity` requests queued plus `num_workers × max_batch` in
+/// flight), shutdown drains (every admitted request is answered), and all
+/// shared state is either immutable (`FrozenModel`), lock-protected
+/// (cache, metrics), or thread-local (work counters).
 ///
 /// Failure handling: every admitted request resolves to a terminal
 /// `InferenceResponse.status` — its callback always runs. Embedder errors
@@ -97,9 +98,9 @@ using EmbeddingFn =
 /// failures trip a `CircuitBreaker` so a dead embedder fast-fails, while
 /// stale-only misses still reach it as the half-open probe; and
 /// per-request deadlines, counted from `Submit`, resolve to
-/// `kDeadlineExceeded` — on the batcher, before any embedding work, when
-/// the request expired before its batch reached a worker. The
-/// `ServeHealth` slice of `Metrics()` reports all of it.
+/// `kDeadlineExceeded` — before any embedding work when the request
+/// expired before its batch finished forming. The `ServeHealth` slice of
+/// `Metrics()` reports all of it.
 class BatchingServer {
  public:
   /// Serves `model` over `num_nodes` nodes whose embeddings `embed_fn`
@@ -124,10 +125,9 @@ class BatchingServer {
   BatchingServer& operator=(const BatchingServer&) = delete;
 
   /// Enqueues a classification request; `done` receives its response
-  /// exactly once, with no server lock held: on a batch worker thread, or
-  /// on the batcher thread when the request expired before it reached a
-  /// batch. Returns OK once admitted, else `kInvalidArgument` (node out of
-  /// range), `kUnavailable` when a queue bound is hit (backpressure; the
+  /// exactly once, on a worker thread, with no server lock held. Returns
+  /// OK once admitted, else `kInvalidArgument` (node out of range),
+  /// `kUnavailable` when a queue bound is hit (backpressure; the
   /// caller may retry), `kResourceExhausted` when the tenant's token
   /// bucket is empty, or `kFailedPrecondition` after shutdown — and then
   /// `done` is never called. `done` runs on the serving path, so it should
@@ -147,8 +147,8 @@ class BatchingServer {
 
   /// Current metrics snapshot, including the work counters accumulated by
   /// the serving threads since construction. Also refreshes the
-  /// registry-side `sgnn_serve_breaker_*`, `sgnn_serve_pool_*`, and
-  /// `sgnn_serve_ops_*` gauges, so call it before scraping. Thread-safe.
+  /// registry-side `sgnn_serve_breaker_*` and `sgnn_serve_ops_*` gauges,
+  /// so call it before scraping. Thread-safe.
   ServeMetricsSnapshot Metrics() const;
 
   /// Current circuit-breaker state. This is the load shedder's input
@@ -162,14 +162,20 @@ class BatchingServer {
   /// here (`Configure`), reads its fill, and tests pause it.
   AdmissionQueue& admission() { return admission_; }
 
-  /// Stops admissions, flushes every queued request, joins all threads.
-  /// Idempotent; also run by the destructor.
+  /// Stops admissions, lets the workers answer every queued request, and
+  /// joins them. Idempotent; also run by the destructor.
   void Shutdown();
 
   const ServeConfig& config() const { return config_; }
 
  private:
-  void BatcherLoop();
+  /// One serving thread: form a batch under `form_mu_`, answer its
+  /// expired requests, process the rest; until the queue is drained.
+  void WorkerLoop() SGNN_EXCLUDES(form_mu_);
+  /// Pops one micro-batch into `batch`: waits for a first request, then
+  /// flushes at `max_batch` or `max_delay_micros` after it. False once the
+  /// queue is closed and drained.
+  bool FormBatch(std::vector<PendingRequest>* batch) SGNN_REQUIRES(form_mu_);
   void ProcessBatch(std::vector<PendingRequest>* batch);
   /// Resolves one cache miss: breaker gate, embedder with retry/backoff,
   /// degraded fallback (always allowed for a stale-only request, whose
@@ -190,7 +196,8 @@ class BatchingServer {
   // sgnn-lint: allow(lock/unannotated-field): internally synchronized
   // under the queue's own mutex.
   AdmissionQueue admission_;
-  std::unique_ptr<common::ThreadPool> pool_;
+  /// Held while a worker forms its batch: one batch forms at a time.
+  common::Mutex form_mu_;
 
   /// Embedding cache shared across worker threads; reads take the shared
   /// lock (concurrent), writes the exclusive lock. The guard annotation
@@ -204,12 +211,6 @@ class BatchingServer {
   /// structure (how many serve events passed) rather than wall time.
   common::TickClock latency_clock_;
 
-  /// In-flight batch cap (== num_workers): keeps pressure on the admission
-  /// queue instead of an unbounded pool backlog.
-  common::Mutex inflight_mu_;
-  std::condition_variable_any inflight_cv_;
-  int in_flight_ SGNN_GUARDED_BY(inflight_mu_) = 0;
-
   /// Observability sinks from the construction-time `RunContext` (null =
   /// off); the injector is consulted at admission (`"serve.admit"`).
   obs::Tracer* const tracer_;
@@ -219,13 +220,13 @@ class BatchingServer {
   common::CircuitBreaker breaker_;
   /// Aggregate counters at construction.
   // sgnn-lint: allow(lock/unannotated-field): written once in the
-  // constructor before the batcher thread starts, read-only afterwards.
+  // constructor before the workers start, read-only afterwards.
   common::OpCounters base_ops_;
 
   std::atomic<bool> shutdown_{false};
   // sgnn-lint: allow(lock/unannotated-field): started in the constructor,
   // joined in Shutdown(); no access in between.
-  std::thread batcher_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace sgnn::serve

@@ -41,7 +41,7 @@ ServeMetrics::ServeMetrics(obs::MetricsRegistry* registry)
                                "Embeddings recomputed (or served stale).", {},
                                obs::kVolatile);
   batches_ = r.GetCounter("sgnn_serve_batches_total",
-                          "Micro-batches flushed by the batcher.", {},
+                          "Micro-batches formed by the serving workers.", {},
                           obs::kVolatile);
   deadline_misses_ =
       r.GetCounter("sgnn_serve_deadline_misses_total",

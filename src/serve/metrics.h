@@ -64,13 +64,14 @@ struct ServeMetricsSnapshot {
   std::string ToString() const;
 };
 
-/// Recording facade shared by the batcher and worker threads, backed by
-/// `obs::MetricsRegistry` series (`sgnn_serve_*`). Construction registers
-/// every series in `registry` — pass the run's registry so serving shows
-/// up in the same scrape as the pipeline, or pass null and the facade owns
-/// a private registry (the standalone-server case). Either way `Snapshot()`
-/// is a pure view over the registry handles, and the latency/batch-size
-/// percentile math lives in `obs::Histogram`, not here.
+/// Recording facade shared by the submitting threads and the serving
+/// workers, backed by `obs::MetricsRegistry` series (`sgnn_serve_*`).
+/// Construction registers every series in `registry` — pass the run's
+/// registry so serving shows up in the same scrape as the pipeline, or
+/// pass null and the facade owns a private registry (the standalone-server
+/// case). Either way `Snapshot()` is a pure view over the registry
+/// handles, and the latency/batch-size percentile math lives in
+/// `obs::Histogram`, not here.
 ///
 /// Every `sgnn_serve_*` series is registered `kVolatile`: admission,
 /// batching, and retry counts depend on thread scheduling and wall time,

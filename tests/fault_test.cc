@@ -560,8 +560,8 @@ TEST(FaultServingTest, PermanentErrorsAreNotRetried) {
 TEST(FaultServingTest, ExpiredRequestsResolveDeadlineExceeded) {
   ServeConfig config;
   config.max_batch = 64;
-  // The batcher waits 20 ms for more requests; the deadline is 1 ms, so
-  // the request expires while the batch is still forming.
+  // A forming batch waits 20 ms for more requests; the deadline is 1 ms,
+  // so the request expires while the batch is still forming.
   config.max_delay_micros = 20'000;
   config.deadline_micros = 1'000;
 

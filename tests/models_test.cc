@@ -532,7 +532,25 @@ TEST(TrainPinTest, GraphTransformerReportIsPinned) {
   const Dataset d = PinDataset();
   const ModelResult r = TrainGraphTransformer(d.graph, d.features, d.labels,
                                               d.splits, PinConfig());
-  EXPECT_REPORT_PINNED(r, 0x561e909ee396a40eULL);
+  EXPECT_REPORT_PINNED(r, 0x570ab09ee527de6eULL);
+}
+
+TEST(FitMeterTest, PeakIsTheFitsOwnAfterABiggerFit) {
+  // No RebasePeaks anywhere: each report must carry the peak its own fit
+  // caused, not the thread's high-water mark from an earlier, larger fit.
+  const Dataset d = PinDataset();
+  nn::TrainConfig config = FastConfig();
+  config.epochs = 8;
+  config.batch_size = 64;
+  const ModelResult alone =
+      TrainSgc(d.graph, d.features, d.labels, d.splits, config);
+  const ModelResult bigger =
+      TrainGcn(d.graph, d.features, d.labels, d.splits, config);
+  const ModelResult after =
+      TrainSgc(d.graph, d.features, d.labels, d.splits, config);
+  ASSERT_GT(bigger.ops.peak_resident_floats, alone.ops.peak_resident_floats);
+  EXPECT_GT(alone.ops.peak_resident_floats, 0u);
+  EXPECT_EQ(after.ops.peak_resident_floats, alone.ops.peak_resident_floats);
 }
 
 TEST(TrainPinTest, DecoupledHeadReportsArePinned) {

@@ -841,7 +841,7 @@ TEST(HttpFrontDoorTest, DeadlineCountsTimeSpentInAdmission) {
   ASSERT_TRUE(expired.ok()) << expired.status().ToString();
   EXPECT_EQ(expired.value().status_code, 504);
   EXPECT_NE(expired.value().body.find("deadline_exceeded"), std::string::npos);
-  // Answered by the batcher before it formed a batch around it.
+  // Answered by the worker that popped it, before any batch was recorded.
   EXPECT_EQ(server.Metrics().batches, batches_before);
 }
 
@@ -1025,6 +1025,36 @@ TEST(HttpFrontDoorTest, StartAddsExactlyTheEventLoopThread) {
     if (!before.contains(tid)) {
       EXPECT_TRUE(ThreadExited(tid)) << "tid " << tid;
     }
+  }
+}
+
+TEST(BatchingServerThreadsTest, ConstructionAddsExactlyTheWorkerThreads) {
+  ServeConfig config = QuickServeConfig();
+  config.num_workers = 3;
+  // Tid sets, not counts: a thread joined by an earlier test can still be
+  // listed in `before` and vanish at any moment.
+  const std::set<std::string> before = ThreadIds();
+  BatchingServer server(
+      TestModel(),
+      [](NodeId node, std::span<float> out) {
+        FillEmbedding(node, out);
+        return Status::OK();
+      },
+      kNodes, config);
+  // The workers form their own batches, so the server owns exactly its
+  // workers. Counted before any request, which may start the par pool.
+  std::vector<std::string> started;
+  for (const std::string& tid : ThreadIds()) {
+    if (!before.contains(tid)) started.push_back(tid);
+  }
+  EXPECT_EQ(started.size(), 3u);
+  auto response = server.Submit(InferenceRequest(3));
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response.value().get().status.ok());
+  server.Shutdown();
+  // Shutdown joined every worker: none of them is still running.
+  for (const std::string& tid : started) {
+    EXPECT_TRUE(ThreadExited(tid)) << "tid " << tid;
   }
 }
 
